@@ -1,5 +1,6 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
 import repro.core._
 import scala.collection.mutable
@@ -135,39 +136,38 @@ final class MultiProbe(
     out.toArray
   }
 
+  /** `index` as an RDD, built once, so the query action skips Catalyst
+    * planning. */
+  private lazy val indexRdd: RDD[MultiProbePart] = index.rdd
+
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     if (queries.isEmpty) return Array.empty
+    Vec.requireFinite(queries)
     // (query, table) → probe keys, computed on the driver
     val probes: Array[Array[Array[String]]] = queries.map { q =>
       lshs.map(l => probeSequence(l, q, probesPerTable))
     }
     val batch = queries.indices.map(i => (i, queries(i), probes(i))).toArray
     val bcBatch = sc.broadcast(batch)
-    val cands: Array[(Int, Long, Double)] = index
-      .flatMap { part =>
-        bcBatch.value.iterator.flatMap { case (qi, qv, keysPerTable) =>
-          val found = mutable.HashSet.empty[Int]
-          var t = 0
-          while (t < keysPerTable.length) {
-            val table = part.tables(t)
-            keysPerTable(t).foreach { key =>
-              table.get(key).foreach(_.foreach(found += _))
-            }
-            t += 1
+    val merged = TopK.gather(indexRdd, k) { part =>
+      bcBatch.value.iterator.map { case (qi, qv, keysPerTable) =>
+        val found = mutable.HashSet.empty[Int]
+        var t = 0
+        while (t < keysPerTable.length) {
+          val table = part.tables(t)
+          keysPerTable(t).foreach { key =>
+            table.get(key).foreach(_.foreach(found += _))
           }
-          found.iterator.map { j =>
-            val it = part.items(j)
-            (qi, it.id, Vec.dist(qv, it.vec))
-          }
+          t += 1
         }
+        // one probing pass, no radius: the within-c·r count is unused
+        qi -> TopK.verified(found.iterator.map(part.items(_)), qv, k, Double.NegativeInfinity)
       }
-      .collect()
+    }
     bcBatch.destroy()
-    val byQ = cands.groupBy(_._1)
     queries.indices.map { qi =>
-      val cs = byQ.getOrElse(qi, Array.empty[(Int, Long, Double)])
-      val top = cs.sortBy(_._3).take(k).map(e => Neighbor(e._2, e._3))
-      QueryResult(top, 1, cs.length)
+      val res = merged.getOrElse(qi, TopK.empty)
+      QueryResult(res.neighbors, 1, res.count)
     }.toArray
   }
 

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
@@ -137,46 +138,42 @@ final class Qalsh(
   val distances: EmpiricalDistances =
     EmpiricalDistances.fromSample(sampleVecs, seed = seed)
 
+  /** `index` as an RDD, built once, so a round's action skips Catalyst
+    * planning. */
+  private lazy val indexRdd: RDD[QalshPart] = index.rdd
+
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     if (queries.isEmpty) return Array.empty
+    Vec.requireFinite(queries)
     val qHashes = queries.map(family.project)
     val budget = betaCount.toLong + k
     val r0 = math.max(
       distances.quantile(math.min(1.0, budget.toDouble / n)) / (c * c), 1e-9)
     val radii = Array.fill(queries.length)(r0)
     val results = new Array[QueryResult](queries.length)
-    // accumulated verified candidates per query, deduped by id
-    val seen = Array.fill(queries.length)(scala.collection.mutable.HashMap.empty[Long, Double])
     var active = queries.indices.toArray
     var round = 0
+    val ww = w
+    val ll = l
+    // No candidates are carried across rounds: the window
+    // [h_i(q) - w·r/2, h_i(q) + w·r/2] only grows with r, so every point's
+    // collision count, and with it each round's candidate set, contains the
+    // previous round's.
     while (active.nonEmpty) {
       round += 1
-      val batch = active.map(i => (i, queries(i), qHashes(i), radii(i)))
+      val batch = active.map(i => (i, queries(i), qHashes(i), radii(i), c * radii(i)))
       val bcBatch = sc.broadcast(batch)
-      val ww = w
-      val ll = l
-      val cands: Array[(Int, Long, Double)] = index
-        .flatMap { part =>
-          bcBatch.value.iterator.flatMap { case (qi, qv, qh, r) =>
-            part.collisionCandidates(qh, ww, r, ll).iterator.map { j =>
-              val it = part.items(j)
-              (qi, it.id, Vec.dist(qv, it.vec))
-            }
-          }
+      val merged = TopK.gather(indexRdd, k) { part =>
+        bcBatch.value.iterator.map { case (qi, qv, qh, r, cr) =>
+          qi -> TopK.verified(part.collisionCandidates(qh, ww, r, ll).iterator.map(part.items(_)), qv, k, cr)
         }
-        .collect()
+      }
       bcBatch.destroy()
-      val byQ = cands.groupBy(_._1)
       val still = new ArrayBuffer[Int]()
       active.foreach { qi =>
-        byQ.getOrElse(qi, Array.empty[(Int, Long, Double)]).foreach { case (_, id, dd) =>
-          seen(qi).getOrElseUpdate(id, dd)
-        }
-        val cs = seen(qi)
-        val withinCr = cs.valuesIterator.count(_ <= c * radii(qi))
-        if (withinCr >= k || cs.size >= budget || cs.size >= n) {
-          val top = cs.toArray.sortBy(_._2).take(k).map(e => Neighbor(e._1, e._2))
-          results(qi) = QueryResult(top, round, cs.size)
+        val res = merged.getOrElse(qi, TopK.empty)
+        if (res.withinCr >= k || res.count >= budget || res.count >= n) {
+          results(qi) = QueryResult(res.neighbors, round, res.count)
         } else {
           radii(qi) *= c
           still += qi

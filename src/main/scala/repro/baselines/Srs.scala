@@ -31,6 +31,7 @@ final class Srs(
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     import spark.implicits._
     if (queries.isEmpty) return Array.empty
+    Vec.requireFinite(queries)
     val qProjs = queries.map(engine.family.project)
     val batch = queries.indices.map(i => (i, queries(i), qProjs(i))).toArray
     val bcBatch = sc.broadcast(batch)

@@ -2,8 +2,10 @@ package repro.core
 
 /** A per-partition index over the projected space. One instance is built
   * inside `mapPartitions` per Spark partition and cached as a row of a
-  * `Dataset[PartIndex]` (kryo-encoded); queries broadcast (q', radius) and
-  * `flatMap` over these rows.
+  * `Dataset[PartIndex]` (kryo-encoded). A query round broadcasts its batch
+  * of (q, q', radius, c·r), range-searches every index, verifies the
+  * candidates there, and ships back one `TopK` summary per query and
+  * partition: two counts and the partition's k nearest candidates.
   */
 trait PartIndex extends Serializable {
   def size: Int

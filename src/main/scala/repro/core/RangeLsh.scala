@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
 import scala.collection.mutable.ArrayBuffer
 
@@ -28,11 +29,13 @@ case class LshParams(
   *
   * Query (Algorithm 2, batched): every radius round is one Spark action
   * that runs the range query `range(q', t·r)` of all still-active queries
-  * against every partition index, verifies candidates' original-space
-  * distances executor-side, and collects (query, id, distance) rows. The
-  * driver then applies the paper's termination tests per query —
-  * |C| ≥ βn + k, or k candidates within c·r — and multiplies the radius of
-  * the unfinished ones by c.
+  * against every partition index and verifies candidates' original-space
+  * distances executor-side. Each partition ships one `TopK` row per query:
+  * |C_p|, the number of candidates within c·r, and its k nearest verified
+  * candidates. The driver sums the counts for the paper's termination
+  * tests — |C| ≥ βn + k, or k candidates within c·r — merges the finished
+  * queries' top-k lists, and multiplies the radius of the unfinished ones
+  * by c. Algorithm 1 (`ballCover`) ships the same shape with k = 1.
   *
   * t, α2, β follow Eq. 10: t² = χ²_{α1}(m), α2 = cdf_{χ²(m)}(t²/c²),
   * β = 2·α2 (Lemma 5). r_min comes from the empirical distance CDF so that
@@ -123,9 +126,15 @@ final class RangeLsh(
     math.max(params.rminShrink * distances.quantile(target), 1e-9)
   }
 
+  /** `indexes` as an RDD, built once: a round's action then skips the
+    * Catalyst planning a Dataset action pays. The rows still come from the
+    * cached kryo Dataset. */
+  private lazy val indexRdd: RDD[PartIndex] = indexes.rdd
+
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     if (queries.isEmpty) return Array.empty
+    Vec.requireFinite(queries)
     val qProjs = queries.map(family.project)
     val budget = betaNk(k)
     val r0 = rMin(k)
@@ -142,27 +151,19 @@ final class RangeLsh(
     val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + k
     while (active.nonEmpty) {
       round += 1
-      val batch = active.map(i => (i, queries(i), qProjs(i), tt * radii(i)))
+      val batch = active.map(i => (i, queries(i), qProjs(i), tt * radii(i), c * radii(i)))
       val bcBatch = sc.broadcast(batch)
-      val cands: Array[(Int, Long, Double)] = indexes
-        .flatMap { part =>
-          bcBatch.value.iterator.flatMap { case (qi, qv, qp, rr) =>
-            part.rangeSearch(qp, rr, partCap).map { case (item, _) =>
-              (qi, item.id, Vec.dist(qv, item.vec))
-            }
-          }
+      val merged = TopK.gather(indexRdd, k) { part =>
+        bcBatch.value.iterator.map { case (qi, qv, qp, rr, cr) =>
+          qi -> TopK.verified(part.rangeSearch(qp, rr, partCap).map(_._1), qv, k, cr)
         }
-        .collect()
+      }
       bcBatch.destroy()
-      val byQ = cands.groupBy(_._1)
       val still = new ArrayBuffer[Int]()
       active.foreach { qi =>
-        val cs = byQ.getOrElse(qi, Array.empty[(Int, Long, Double)])
-        val cnt = cs.length
-        val withinCr = cs.count(_._3 <= c * radii(qi))
-        if (cnt >= budget || cnt >= n || withinCr >= k) {
-          val top = cs.sortBy(_._3).take(k).map(x => Neighbor(x._2, x._3))
-          results(qi) = QueryResult(top, round, cnt)
+        val res = merged.getOrElse(qi, TopK.empty)
+        if (res.count >= budget || res.count >= n || res.withinCr >= k) {
+          results(qi) = QueryResult(res.neighbors, round, res.count)
         } else {
           radii(qi) *= c
           still += qi
@@ -177,24 +178,18 @@ final class RangeLsh(
     * the ball-cover conditions fire, otherwise None.
     */
   def ballCover(q: Array[Double], r: Double): Option[Neighbor] = {
+    Vec.requireFinite(Array(q))
     val qp = family.project(q)
     val budget = betaNk(0) + 1
-    val bcQ = sc.broadcast((q, qp, t * r))
+    val bcQ = sc.broadcast((q, qp, t * r, params.c * r))
     val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + 1
-    val cands: Array[(Long, Double)] = indexes
-      .flatMap { part =>
-        val (qv, qpp, rr) = bcQ.value
-        part.rangeSearch(qpp, rr, partCap).map { case (item, _) => (item.id, Vec.dist(qv, item.vec)) }
-      }
-      .collect()
+    // each partition ships its candidate count and its closest candidate
+    val res = TopK.gather(indexRdd, 1) { part =>
+      val (qv, qpp, rr, cr) = bcQ.value
+      Iterator.single(0 -> TopK.verified(part.rangeSearch(qpp, rr, partCap).map(_._1), qv, 1, cr))
+    }.getOrElse(0, TopK.empty)
     bcQ.destroy()
-    if (cands.isEmpty) None
-    else {
-      val closest = cands.minBy(_._2)
-      if (cands.length >= budget) Some(Neighbor(closest._1, closest._2))
-      else if (closest._2 <= params.c * r) Some(Neighbor(closest._1, closest._2))
-      else None
-    }
+    Option.when(res.count >= budget || res.withinCr >= 1)(res.neighbors.head)
   }
 
   def unpersist(): Unit = indexes.unpersist()

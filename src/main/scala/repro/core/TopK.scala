@@ -1,0 +1,76 @@
+package repro.core
+
+import org.apache.spark.rdd.RDD
+
+/** What one partition reports for one query in a round of Algorithms 1/2:
+  * its candidate count |C_p|, how many of those lie within c·r, and its k
+  * nearest verified candidates, ascending by distance with ties in
+  * range-result order. The driver needs no more: the termination tests use
+  * the sums of the two counts, and the answer (the k smallest of the union
+  * of the C_p) is the k smallest of the union of the per-partition top-k.
+  */
+final case class TopK(count: Int, withinCr: Int, ids: Array[Long], dists: Array[Double]) {
+  def neighbors: Array[Neighbor] = Array.tabulate(ids.length)(i => Neighbor(ids(i), dists(i)))
+}
+
+object TopK {
+
+  val empty: TopK = TopK(0, 0, Array.emptyLongArray, Array.emptyDoubleArray)
+
+  /** Summary of one partition's verified candidates, given in range-result
+    * order; `cr` is c·r, computed on the driver so every executor compares
+    * against the same double. */
+  def of(ids: Array[Long], dists: Array[Double], k: Int, cr: Double): TopK = {
+    var within = 0
+    dists.foreach(d => if (d <= cr) within += 1)
+    val pos = smallest(dists, k)
+    TopK(ids.length, within, pos.map(ids), pos.map(dists))
+  }
+
+  /** Verifies `cands` against the original-space query `q` and summarizes them. */
+  def verified(cands: Iterator[IndexedPoint], q: Array[Double], k: Int, cr: Double): TopK = {
+    val ids = Array.newBuilder[Long]
+    val dists = Array.newBuilder[Double]
+    cands.foreach { p => ids += p.id; dists += Vec.dist(q, p.vec) }
+    of(ids.result(), dists.result(), k, cr)
+  }
+
+  /** Merges one query's partition summaries, given in partition order: the
+    * counts add up, and the k smallest of the concatenated top-k lists, ties
+    * in concatenation order, are exactly the first k of a stable sort of all
+    * partitions' candidates concatenated in partition order. */
+  def merge(parts: Seq[TopK], k: Int): TopK = {
+    val ids = parts.flatMap(_.ids).toArray
+    val dists = parts.flatMap(_.dists).toArray
+    val pos = smallest(dists, k)
+    TopK(parts.map(_.count).sum, parts.map(_.withinCr).sum, pos.map(ids), pos.map(dists))
+  }
+
+  /** One Spark action over partition indexes: `probe` yields one
+    * (query, summary) row per query for a partition, and each query's rows
+    * are merged. `collect` returns rows in partition order, which `merge`'s
+    * tie order relies on. */
+  def gather[P](parts: RDD[P], k: Int)(probe: P => Iterator[(Int, TopK)]): Map[Int, TopK] =
+    parts.flatMap(probe).collect().groupBy(_._1).map { case (qi, rows) => qi -> merge(rows.map(_._2), k) }
+
+  /** Positions of the k smallest `dists`, ascending, equal distances in input
+    * order: the first k positions of a stable sort under the same total
+    * order as `Ordering.Double`, kept in a sorted buffer of at most k. */
+  private[core] def smallest(dists: Array[Double], k: Int): Array[Int] = {
+    val buf = new Array[Int](math.max(0, math.min(k, dists.length)))
+    var size = 0
+    var i = 0
+    while (i < dists.length && buf.length > 0) {
+      val d = dists(i)
+      if (size < buf.length || java.lang.Double.compare(d, dists(buf(size - 1))) < 0) {
+        // insert after every entry <= d; when full, the last entry drops out
+        var j = if (size < buf.length) size else size - 1
+        while (j > 0 && java.lang.Double.compare(dists(buf(j - 1)), d) > 0) { buf(j) = buf(j - 1); j -= 1 }
+        buf(j) = i
+        if (size < buf.length) size += 1
+      }
+      i += 1
+    }
+    buf
+  }
+}

@@ -35,6 +35,14 @@ object Vec {
     r
   }
 
+  /** Rejects query batches with a NaN or ∞ coordinate. Such a query fails
+    * every `dist ≤ r` test, so a loop that grows r until enough points fall
+    * inside would never end. */
+  def requireFinite(queries: Array[Array[Double]]): Unit =
+    queries.indices.foreach { i =>
+      require(queries(i).forall(java.lang.Double.isFinite), s"query $i has a non-finite coordinate")
+    }
+
   /** Element-wise mean of a non-empty collection of vectors. */
   def mean(vs: Iterable[Array[Double]]): Array[Double] = {
     require(vs.nonEmpty, "mean of empty vector set")

@@ -1,11 +1,15 @@
 package repro.baselines
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.core._
 import repro.data.HighDim
 
 /** Multi-Probe: query-directed probing sequence and bucket retrieval. */
-class MultiProbeSpec extends SparkSpec {
+class MultiProbeSpec extends SparkSpec with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private val cfg = HighDim.testConfig(n = 800, d = 24, seed = 41)
   private val k = 10
@@ -79,5 +83,11 @@ class MultiProbeSpec extends SparkSpec {
 
   test("empty query batch") {
     assert(mp.knn(Array.empty, k).isEmpty)
+  }
+
+  test("knn rejects NaN query coordinates") {
+    val e = mp
+    val q = queries(0).clone(); q(3) = Double.NaN
+    failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
   }
 }

@@ -1,11 +1,15 @@
 package repro.baselines
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.core._
 import repro.data.HighDim
 
 /** QALSH: parameter derivation, collision counting, virtual rehashing. */
-class QalshSpec extends SparkSpec {
+class QalshSpec extends SparkSpec with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private val cfg = HighDim.testConfig(n = 800, d = 24, seed = 41)
   private val k = 10
@@ -82,5 +86,32 @@ class QalshSpec extends SparkSpec {
 
   test("empty query batch") {
     assert(qalsh.knn(Array.empty, k).isEmpty)
+  }
+
+  test("knn rejects NaN query coordinates instead of growing r forever") {
+    val e = qalsh
+    val q = queries(0).clone(); q(3) = Double.NaN
+    failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
+  }
+
+  test("collision candidates at radius r are a subset of those at c*r") {
+    // knn carries no candidates across rounds; this nesting is why it need not
+    val parts = qalsh.index.collect()
+    val rnd = new scala.util.Random(7)
+    val lo = qalsh.distances.quantile(0.01) / (qalsh.c * qalsh.c)
+    val hi = qalsh.distances.quantile(0.5)
+    var grew = 0
+    (0 until 40).foreach { i =>
+      val q = if (i < queries.length) queries(i) else Array.fill(cfg.d)(rnd.nextGaussian())
+      val qh = qalsh.family.project(q)
+      val r = lo * math.pow(hi / lo, rnd.nextDouble())
+      parts.foreach { part =>
+        val small = part.collisionCandidates(qh, qalsh.w, r, qalsh.l).toSet
+        val large = part.collisionCandidates(qh, qalsh.w, qalsh.c * r, qalsh.l).toSet
+        assert(small.subsetOf(large), s"query $i, r = $r")
+        if (large.size > small.size && small.nonEmpty) grew += 1
+      }
+    }
+    assert(grew > 0, "no case where the candidate set was non-empty and grew")
   }
 }

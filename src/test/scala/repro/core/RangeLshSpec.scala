@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.data.HighDim
 
@@ -7,7 +9,9 @@ import repro.data.HighDim
   * Eq. 10 parameter arithmetic, and the Theorem-1 quality guarantee,
   * verified against exact ground truth.
   */
-class RangeLshSpec extends SparkSpec {
+class RangeLshSpec extends SparkSpec with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private val cfg = HighDim.testConfig(n = 800, d = 24, seed = 41)
   private val k = 10
@@ -149,5 +153,24 @@ class RangeLshSpec extends SparkSpec {
   test("k = 1 works") {
     val res = pmEngine.knn(queries.take(2), 1)
     res.foreach(qr => assert(qr.neighbors.length == 1))
+  }
+
+  private def withCoord(q: Array[Double], x: Double): Array[Double] = { val v = q.clone(); v(0) = x; v }
+
+  test("knn rejects NaN and infinite query coordinates instead of growing r forever") {
+    val (pm, r) = (pmEngine, rEngine)
+    failAfter(20.seconds) {
+      Seq(Double.NaN, Double.PositiveInfinity).foreach { x =>
+        intercept[IllegalArgumentException](pm.knn(Array(queries(0), withCoord(queries(1), x)), k))
+        intercept[IllegalArgumentException](r.knn(Array(withCoord(queries(1), x)), k))
+      }
+    }
+  }
+
+  test("ballCover rejects NaN query coordinates") {
+    val pm = pmEngine
+    failAfter(20.seconds) {
+      intercept[IllegalArgumentException](pm.ballCover(withCoord(queries(0), Double.NaN), 1.0))
+    }
   }
 }

@@ -29,21 +29,22 @@ final class Srs(
   private val sc = spark.sparkContext
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    import spark.implicits._
     if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
     val qProjs = queries.map(engine.family.project)
     val batch = queries.indices.map(i => (i, queries(i), qProjs(i))).toArray
     val bcBatch = sc.broadcast(batch)
     val frac = tFrac
-    val accessed: Array[(Int, Long, Double, Double)] = engine.indexes
+    // one row per partition and query: the partition's access sequence as
+    // parallel arrays of ids, projected distances and verified distances
+    val accessed: Array[(Int, Array[Long], Array[Double], Array[Double])] = engine.indexes
       .flatMap { part =>
         val rt = part.asInstanceOf[RTreePart]
+        val pts = rt.points
         val cap = math.ceil(frac * rt.size).toInt + k
-        bcBatch.value.iterator.flatMap { case (qi, qv, qp) =>
-          rt.incSearch(qp).take(cap).map { case (item, pd) =>
-            (qi, item.id, pd, Vec.dist(qv, item.vec))
-          }
+        bcBatch.value.iterator.map { case (qi, qv, qp) =>
+          val seq = rt.incSlots(qp).take(cap).toArray
+          (qi, seq.map(e => pts.ids(e._1)), seq.map(_._2), seq.map(e => pts.dist(qv, e._1)))
         }
       }
       .collect()
@@ -54,14 +55,20 @@ final class Srs(
     val budget = math.ceil(frac * n).toLong + k
     val byQ = accessed.groupBy(_._1)
     queries.indices.map { qi =>
-      val seq = byQ.getOrElse(qi, Array.empty[(Int, Long, Double, Double)]).sortBy(_._3)
+      val rows = byQ.getOrElse(qi, Array.empty[(Int, Array[Long], Array[Double], Array[Double])])
+      val ids = rows.flatMap(_._2)
+      val pds = rows.flatMap(_._3)
+      val dds = rows.flatMap(_._4)
+      // the global access order: a stable sort by projected distance of the
+      // partition streams concatenated in partition order
+      val seq = pds.indices.sortBy(pds(_))
       // replay the global access order with SRS's termination tests
       val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
       var count = 0
       var stop = false
       var i = 0
       while (i < seq.length && !stop) {
-        val (_, id, pd, dd) = seq(i)
+        val (id, pd, dd) = (ids(seq(i)), pds(seq(i)), dds(seq(i)))
         count += 1
         if (heap.size < k) heap.enqueue((dd, id))
         else if (dd < heap.head._1) { heap.dequeue(); heap.enqueue((dd, id)) }

@@ -20,6 +20,8 @@ case class PMNodeSummary(
   * `r`, center `RO`, parent distance `PD`, child pointer), the hyper-ring
   * intervals `HR[i] = [min, max]` of distances from pivot i to every point
   * below it; every leaf entry stores the point plus its s pivot distances.
+  * Leaves hold slots of one flat payload (`Slots`); the leaf entries' pivot
+  * and parent distances live in slot-indexed arrays beside it.
   * A range query `range(q, r)` prunes with (Eq. 5):
   *   - the sphere test    ||q, e.RO|| ≤ e.r + r,
   *   - the parent filter  |  ||q, parent|| − e.PD | ≤ e.r + r  (no distance
@@ -30,7 +32,8 @@ case class PMNodeSummary(
   * Insertion is classic M-tree: descend by minimum enlargement, split on
   * overflow with max-distance promotion and nearest-center partition.
   * Covering radii are upper bounds on the distance to every descendant
-  * point, so pruning stays correct after splits.
+  * point, so pruning stays correct after splits. The tree is built once,
+  * by `PMTree.build`, which then renumbers the slots in leaf order.
   *
   * `distCount` counts query-time distance computations in the projected
   * space (the quantity modeled in Table 2).
@@ -39,50 +42,72 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
   require(capacity >= 4, s"capacity must be >= 4, got $capacity")
   private val s = pivots.length
 
-  private sealed trait Entry extends Serializable {
-    var parentDist: Double = 0.0
-  }
-  private final class LeafEntry(val item: IndexedPoint, val pivotDists: Array[Double]) extends Entry
   private final class RoutingEntry(
       val center: Array[Double],
       var radius: Double,
       var child: Node,
       val hrMin: Array[Double],
-      val hrMax: Array[Double]) extends Entry
-
-  private final class Node(val isLeaf: Boolean) extends Serializable {
-    val entries = new ArrayBuffer[Entry]()
+      val hrMax: Array[Double]) extends Serializable {
+    var parentDist: Double = 0.0
   }
 
-  private var root: Node = new Node(true)
-  private var count = 0
+  private sealed abstract class Node extends Serializable
+  /** A leaf; its entries are slots of `pts`. */
+  private final class Leaf(var slots: Array[Int]) extends Node
+  private final class Inner extends Node {
+    val routes = new ArrayBuffer[RoutingEntry]()
+  }
 
-  /** Query-time distance computations (reset with `resetDistCount`). */
+  private var pts: Slots = Slots.of(Array.empty[IndexedPoint])
+  /** Leaf entry o's pivot distances ||p_i, o'|| at o·s + i. */
+  private var pivotDists: Array[Double] = Array.emptyDoubleArray
+  /** Leaf entry o's distance to the center of the routing entry above it. */
+  private var parentDists: Array[Double] = Array.emptyDoubleArray
+  private var root: Node = new Leaf(Array.emptyIntArray)
+
+  /** Query-time distance computations of `range` (reset with `resetDistCount`). */
   var distCount: Long = 0L
 
-  def size: Int = count
+  def size: Int = pts.size
 
-  private def qDist(a: Array[Double], b: Array[Double]): Double = {
-    distCount += 1
-    Vec.dist(a, b)
-  }
+  /** The indexed points, in slot order (leaf order). */
+  def points: Slots = pts
 
   def resetDistCount(): Unit = distCount = 0L
 
-  /** Insert one point (its projected coordinates drive the tree). */
-  def insert(item: IndexedPoint): Unit = {
-    val pd = Array.tabulate(s)(i => Vec.dist(pivots(i), item.proj))
+  /** Indexes `points`: inserts every slot in order, tightens the covering
+    * radii, and renumbers the slots in leaf order. */
+  private def load(points: Slots): Unit = {
+    require(points.size == 0 || points.m == pivots(0).length,
+      s"points have ${points.m} projected coordinates, pivots ${pivots(0).length}")
+    pts = points
+    pivotDists = new Array[Double](points.size * s)
+    parentDists = new Array[Double](points.size)
+    var slot = 0
+    while (slot < points.size) { insert(slot); slot += 1 }
+    tighten()
+    renumber()
+  }
+
+  /** Insert one slot (its projected coordinates drive the tree). */
+  private def insert(slot: Int): Unit = {
+    val proj = pts.proj
+    val off = slot * pts.m
+    val po = slot * s
+    var k = 0
+    while (k < s) { pivotDists(po + k) = Vec.dist(pivots(k), proj, off); k += 1 }
     // Descend to a leaf, remembering the path of (parentNode, routingEntry).
-    val path = new ArrayBuffer[(Node, RoutingEntry)]()
+    val path = new ArrayBuffer[(Inner, RoutingEntry)]()
     var node = root
-    while (!node.isLeaf) {
+    while (node.isInstanceOf[Inner]) {
+      val inner = node.asInstanceOf[Inner]
       var best: RoutingEntry = null
       var bestKey = Double.MaxValue
       var bestInside = false
       var i = 0
-      while (i < node.entries.length) {
-        val re = node.entries(i).asInstanceOf[RoutingEntry]
-        val dd = Vec.dist(re.center, item.proj)
+      while (i < inner.routes.length) {
+        val re = inner.routes(i)
+        val dd = Vec.dist(re.center, proj, off)
         val inside = dd <= re.radius
         // prefer containing entries by distance; else minimum enlargement
         if (inside) {
@@ -93,35 +118,25 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
         }
         i += 1
       }
-      val dd = Vec.dist(best.center, item.proj)
+      val dd = Vec.dist(best.center, proj, off)
       if (dd > best.radius) best.radius = dd
       var j = 0
       while (j < s) {
-        if (pd(j) < best.hrMin(j)) best.hrMin(j) = pd(j)
-        if (pd(j) > best.hrMax(j)) best.hrMax(j) = pd(j)
+        if (pivotDists(po + j) < best.hrMin(j)) best.hrMin(j) = pivotDists(po + j)
+        if (pivotDists(po + j) > best.hrMax(j)) best.hrMax(j) = pivotDists(po + j)
         j += 1
       }
-      path += ((node, best))
+      path += ((inner, best))
       node = best.child
     }
-    val le = new LeafEntry(item, pd)
-    le.parentDist = if (path.isEmpty) 0.0 else Vec.dist(path.last._2.center, item.proj)
-    node.entries += le
-    count += 1
-    if (node.entries.length > capacity) splitUp(node, path)
-  }
-
-  private def entryCenter(e: Entry): Array[Double] = e match {
-    case l: LeafEntry    => l.item.proj
-    case r: RoutingEntry => r.center
-  }
-  private def entryRadius(e: Entry): Double = e match {
-    case _: LeafEntry    => 0.0
-    case r: RoutingEntry => r.radius
+    val leaf = node.asInstanceOf[Leaf]
+    parentDists(slot) = if (path.isEmpty) 0.0 else Vec.dist(path.last._2.center, proj, off)
+    leaf.slots = leaf.slots :+ slot
+    if (leaf.slots.length > capacity) splitUp(leaf, path)
   }
 
   /** Split `node` (which overflowed); cascade upward along `path`. */
-  private def splitUp(node: Node, path: ArrayBuffer[(Node, RoutingEntry)]): Unit = {
+  private def splitUp(node: Node, path: ArrayBuffer[(Inner, RoutingEntry)]): Unit = {
     var child = node
     var level = path.length - 1
     var continue = true
@@ -129,23 +144,23 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
       val (r1, r2) = split(child)
       if (level < 0) {
         // the root split: grow a new root
-        val newRoot = new Node(false)
-        newRoot.entries += r1
-        newRoot.entries += r2
+        val newRoot = new Inner
+        newRoot.routes += r1
+        newRoot.routes += r2
         r1.parentDist = 0.0
         r2.parentDist = 0.0
         root = newRoot
         continue = false
       } else {
         val (parent, oldRe) = path(level)
-        val idx = parent.entries.indexOf(oldRe)
-        parent.entries.remove(idx)
+        val idx = parent.routes.indexOf(oldRe)
+        parent.routes.remove(idx)
         val grandCenter = if (level == 0) null else path(level - 1)._2.center
         r1.parentDist = if (grandCenter == null) 0.0 else Vec.dist(grandCenter, r1.center)
         r2.parentDist = if (grandCenter == null) 0.0 else Vec.dist(grandCenter, r2.center)
-        parent.entries += r1
-        parent.entries += r2
-        if (parent.entries.length > capacity) {
+        parent.routes += r1
+        parent.routes += r2
+        if (parent.routes.length > capacity) {
           child = parent
           level -= 1
         } else continue = false
@@ -155,117 +170,155 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
 
   /** Split the entries of a node into two new routing entries. */
   private def split(node: Node): (RoutingEntry, RoutingEntry) = {
-    val es = node.entries.toArray
+    // entry centers: a leaf entry's is its point
+    val centers: Array[Array[Double]] = node match {
+      case l: Leaf   => l.slots.map(pts.projRow)
+      case in: Inner => in.routes.map(_.center).toArray
+    }
     // promotion: the pair of entry centers at maximum distance
     var bi = 0; var bj = 1; var bd = -1.0
     var i = 0
-    while (i < es.length) {
+    while (i < centers.length) {
       var j = i + 1
-      while (j < es.length) {
-        val dd = Vec.dist(entryCenter(es(i)), entryCenter(es(j)))
+      while (j < centers.length) {
+        val dd = Vec.dist(centers(i), centers(j))
         if (dd > bd) { bd = dd; bi = i; bj = j }
         j += 1
       }
       i += 1
     }
-    val c1 = entryCenter(es(bi)).clone()
-    val c2 = entryCenter(es(bj)).clone()
-    val n1 = new Node(node.isLeaf)
-    val n2 = new Node(node.isLeaf)
+    val c1 = centers(bi).clone()
+    val c2 = centers(bj).clone()
+    val toFirst = new Array[Boolean](centers.length)
+    val parentDist = new Array[Double](centers.length)
+    var n1 = 0; var n2 = 0
     i = 0
-    while (i < es.length) {
-      val e = es(i)
+    while (i < centers.length) {
       // seeds are force-assigned so neither side can end up empty (with
       // duplicate points every distance ties at 0)
-      if (i == bi) { e.parentDist = 0.0; n1.entries += e }
-      else if (i == bj) { e.parentDist = 0.0; n2.entries += e }
-      else {
-        val d1 = Vec.dist(c1, entryCenter(e))
-        val d2 = Vec.dist(c2, entryCenter(e))
-        if (d1 < d2 || (d1 == d2 && n1.entries.length <= n2.entries.length)) {
-          e.parentDist = d1; n1.entries += e
-        } else { e.parentDist = d2; n2.entries += e }
+      if (i == bi) toFirst(i) = true
+      else if (i != bj) {
+        val d1 = Vec.dist(c1, centers(i))
+        val d2 = Vec.dist(c2, centers(i))
+        toFirst(i) = d1 < d2 || (d1 == d2 && n1 <= n2)
+        parentDist(i) = if (toFirst(i)) d1 else d2
       }
+      if (toFirst(i)) n1 += 1 else n2 += 1
       i += 1
     }
-    (makeRouting(c1, n1), makeRouting(c2, n2))
+    val (a, b): (Node, Node) = node match {
+      case l: Leaf =>
+        l.slots.indices.foreach(i => parentDists(l.slots(i)) = parentDist(i))
+        val (s1, s2) = l.slots.indices.partition(toFirst(_))
+        (new Leaf(s1.map(l.slots(_)).toArray), new Leaf(s2.map(l.slots(_)).toArray))
+      case in: Inner =>
+        in.routes.indices.foreach(i => in.routes(i).parentDist = parentDist(i))
+        val (a, b) = (new Inner, new Inner)
+        in.routes.indices.foreach(i => (if (toFirst(i)) a else b).routes += in.routes(i))
+        (a, b)
+    }
+    (makeRouting(c1, a), makeRouting(c2, b))
   }
 
   private def makeRouting(center: Array[Double], child: Node): RoutingEntry = {
     var radius = 0.0
     val hrMin = Array.fill(s)(Double.MaxValue)
     val hrMax = Array.fill(s)(Double.MinValue)
-    child.entries.foreach { e =>
-      val r = e.parentDist + entryRadius(e)
+    def cover(r: Double, lo: Int => Double, hi: Int => Double): Unit = {
       if (r > radius) radius = r
-      e match {
-        case l: LeafEntry =>
-          var j = 0
-          while (j < s) {
-            if (l.pivotDists(j) < hrMin(j)) hrMin(j) = l.pivotDists(j)
-            if (l.pivotDists(j) > hrMax(j)) hrMax(j) = l.pivotDists(j)
-            j += 1
-          }
-        case rr: RoutingEntry =>
-          var j = 0
-          while (j < s) {
-            if (rr.hrMin(j) < hrMin(j)) hrMin(j) = rr.hrMin(j)
-            if (rr.hrMax(j) > hrMax(j)) hrMax(j) = rr.hrMax(j)
-            j += 1
-          }
+      var j = 0
+      while (j < s) {
+        if (lo(j) < hrMin(j)) hrMin(j) = lo(j)
+        if (hi(j) > hrMax(j)) hrMax(j) = hi(j)
+        j += 1
       }
+    }
+    child match {
+      case l: Leaf =>
+        l.slots.foreach { o => cover(parentDists(o), j => pivotDists(o * s + j), j => pivotDists(o * s + j)) }
+      case in: Inner =>
+        in.routes.foreach { rr => cover(rr.parentDist + rr.radius, rr.hrMin(_), rr.hrMax(_)) }
     }
     new RoutingEntry(center, radius, child, hrMin, hrMax)
   }
 
   /** Ball range query in the projected space: all points with
-    * ||q, o'|| ≤ r, returned with their projected distances. `cap` stops
-    * the traversal once that many results are collected — Algorithm 2
-    * (line 7) searches only until βn + k points are found, not to
-    * exhaustion.
+    * ||q, o'|| ≤ r, with their projected distances, in traversal order.
+    * The points are read through the slots only when an element is read.
     */
-  def range(qProj: Array[Double], r: Double,
-            cap: Int = Int.MaxValue): ArrayBuffer[(IndexedPoint, Double)] = {
-    val out = new ArrayBuffer[(IndexedPoint, Double)]()
-    if (count == 0) return out
-    val qpd = Array.tabulate(s)(i => qDist(pivots(i), qProj))
-    // stack of (node, distance from q to the routing center of that node; NaN at root)
-    val stack = new ArrayBuffer[(Node, Double)]()
-    stack += ((root, Double.NaN))
-    while (stack.nonEmpty && out.length < cap) {
-      val (node, dParent) = stack.remove(stack.length - 1)
-      var i = 0
-      while (i < node.entries.length && out.length < cap) {
-        node.entries(i) match {
-          case re: RoutingEntry =>
-            var prune = false
-            if (!dParent.isNaN && math.abs(dParent - re.parentDist) > r + re.radius) prune = true
+  def range(qProj: Array[Double], r: Double): IndexedSeq[(IndexedPoint, Double)] = {
+    val hits = new Hits
+    search(qProj, r, hits)
+    distCount += hits.distCount
+    new SlotRange(pts, hits)
+  }
+
+  /** `range` into `out`, counting its distance computations there: s to the
+    * pivots, one per routing entry and leaf entry that no filter prunes. */
+  private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit = {
+    if (size == 0) return
+    val proj = pts.proj
+    val m = pts.m
+    val qpd = new Array[Double](s)
+    var k = 0
+    while (k < s) { qpd(k) = Vec.dist(pivots(k), qProj); k += 1 }
+    out.distCount += s
+    // depth-first stack of nodes with the distance from q to the center of
+    // the routing entry leading to each (NaN at the root)
+    var nodes = new Array[Node](16)
+    var dParents = new Array[Double](16)
+    nodes(0) = root
+    dParents(0) = Double.NaN
+    var top = 1
+    while (top > 0) {
+      top -= 1
+      val dParent = dParents(top)
+      nodes(top) match {
+        case in: Inner =>
+          var i = 0
+          while (i < in.routes.length) {
+            val re = in.routes(i)
+            var prune = !dParent.isNaN && math.abs(dParent - re.parentDist) > r + re.radius
             var j = 0
             while (!prune && j < s) {
               if (qpd(j) - r > re.hrMax(j) || qpd(j) + r < re.hrMin(j)) prune = true
               j += 1
             }
             if (!prune) {
-              val dd = qDist(qProj, re.center)
-              if (dd <= r + re.radius) stack += ((re.child, dd))
+              val dd = Vec.dist(qProj, re.center)
+              out.distCount += 1
+              if (dd <= r + re.radius) {
+                if (top == nodes.length) {
+                  nodes = java.util.Arrays.copyOf(nodes, 2 * top)
+                  dParents = java.util.Arrays.copyOf(dParents, 2 * top)
+                }
+                nodes(top) = re.child
+                dParents(top) = dd
+                top += 1
+              }
             }
-          case le: LeafEntry =>
-            var prune = false
-            if (!dParent.isNaN && math.abs(dParent - le.parentDist) > r) prune = true
+            i += 1
+          }
+        case l: Leaf =>
+          val slots = l.slots
+          var i = 0
+          while (i < slots.length) {
+            val o = slots(i)
+            var prune = !dParent.isNaN && math.abs(dParent - parentDists(o)) > r
             var j = 0
             while (!prune && j < s) {
-              if (math.abs(qpd(j) - le.pivotDists(j)) > r) prune = true
+              if (math.abs(qpd(j) - pivotDists(o * s + j)) > r) prune = true
               j += 1
             }
             if (!prune) {
-              val dd = qDist(qProj, le.item.proj)
-              if (dd <= r) out += ((le.item, dd))
+              val dd = Vec.dist(qProj, proj, o * m)
+              out.distCount += 1
+              if (dd <= r) out.add(o, dd)
             }
-        }
-        i += 1
+            i += 1
+          }
       }
     }
-    out
   }
 
   /** Tighten covering radii to the exact max distance to any descendant
@@ -274,49 +327,66 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     * regions, improving both real pruning and the Eq. 7 cost estimate.
     * Hyper-rings are already exact (unions of exact pivot distances).
     */
-  def tighten(): Unit = {
-    def rec(node: Node): ArrayBuffer[Array[Double]] = {
-      val below = new ArrayBuffer[Array[Double]]()
-      node.entries.foreach {
-        case l: LeafEntry => below += l.item.proj
-        case r: RoutingEntry =>
-          val sub = rec(r.child)
+  private def tighten(): Unit = {
+    def rec(node: Node): Array[Int] = node match {
+      case l: Leaf => l.slots
+      case in: Inner =>
+        in.routes.toArray.flatMap { r =>
+          val below = rec(r.child)
           var maxD = 0.0
-          sub.foreach { v =>
-            val dd = Vec.dist(r.center, v)
+          below.foreach { o =>
+            val dd = Vec.dist(r.center, pts.proj, o * pts.m)
             if (dd > maxD) maxD = dd
           }
           r.radius = maxD
-          below ++= sub
-      }
-      below
+          below
+        }
     }
-    if (count > 0) rec(root)
+    if (size > 0) rec(root)
   }
 
-  /** All stored items (test support). */
-  def items: ArrayBuffer[IndexedPoint] = {
-    val out = new ArrayBuffer[IndexedPoint]()
-    def rec(node: Node): Unit = node.entries.foreach {
-      case l: LeafEntry    => out += l.item
-      case r: RoutingEntry => rec(r.child)
+  /** Leaves, depth first with entries in order. */
+  private def leaves: ArrayBuffer[Leaf] = {
+    val out = new ArrayBuffer[Leaf]()
+    def rec(node: Node): Unit = node match {
+      case l: Leaf   => out += l
+      case in: Inner => in.routes.foreach(r => rec(r.child))
     }
     rec(root)
     out
   }
 
+  /** Renumbers the slots in leaf order, so that each leaf's points are
+    * adjacent in the payload arrays. */
+  private def renumber(): Unit = {
+    val ls = leaves
+    val order = ls.flatMap(_.slots).toArray
+    pts = pts.permute(order)
+    pivotDists = Slots.gather(pivotDists, s, order)
+    parentDists = Slots.gather(parentDists, 1, order)
+    var next = 0
+    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
+  }
+
+  /** All stored items, leaf by leaf (test support). */
+  def items: ArrayBuffer[IndexedPoint] = leaves.flatMap(_.slots.map(pts.point))
+
   /** Node summaries for the Table-2 cost model (Eq. 7). */
   def nodeSummaries: Seq[PMNodeSummary] = {
     val out = new ArrayBuffer[PMNodeSummary]()
     def rec(node: Node, re: RoutingEntry): Unit = {
+      val nEntries = node match {
+        case l: Leaf   => l.slots.length
+        case in: Inner => in.routes.length
+      }
       if (re == null)
-        out += PMNodeSummary(node.entries.length, Double.PositiveInfinity,
+        out += PMNodeSummary(nEntries, Double.PositiveInfinity,
           Array.fill(s)(0.0), Array.fill(s)(Double.PositiveInfinity), isRoot = true)
       else
-        out += PMNodeSummary(node.entries.length, re.radius, re.hrMin, re.hrMax, isRoot = false)
-      node.entries.foreach {
-        case r: RoutingEntry => rec(r.child, r)
-        case _               =>
+        out += PMNodeSummary(nEntries, re.radius, re.hrMin, re.hrMax, isRoot = false)
+      node match {
+        case in: Inner => in.routes.foreach(r => rec(r.child, r))
+        case _         =>
       }
     }
     rec(root, null)
@@ -329,23 +399,21 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     */
   def invariantViolations: Int = {
     var bad = 0
-    def rec(node: Node): ArrayBuffer[LeafEntry] = {
-      val leaves = new ArrayBuffer[LeafEntry]()
-      node.entries.foreach {
-        case l: LeafEntry => leaves += l
-        case r: RoutingEntry =>
+    def rec(node: Node): Array[Int] = node match {
+      case l: Leaf => l.slots
+      case in: Inner =>
+        in.routes.toArray.flatMap { r =>
           val below = rec(r.child)
-          below.foreach { l =>
-            if (Vec.dist(r.center, l.item.proj) > r.radius + 1e-9) bad += 1
+          below.foreach { o =>
+            if (Vec.dist(r.center, pts.proj, o * pts.m) > r.radius + 1e-9) bad += 1
             var j = 0
             while (j < s) {
-              if (l.pivotDists(j) < r.hrMin(j) - 1e-9 || l.pivotDists(j) > r.hrMax(j) + 1e-9) bad += 1
+              if (pivotDists(o * s + j) < r.hrMin(j) - 1e-9 || pivotDists(o * s + j) > r.hrMax(j) + 1e-9) bad += 1
               j += 1
             }
           }
-          leaves ++= below
-      }
-      leaves
+          below
+        }
     }
     rec(root)
     bad
@@ -354,11 +422,11 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
 
 object PMTree {
 
-  /** Build a PM-tree by inserting every item, then tighten the radii. */
+  /** Build a PM-tree by inserting every item in order, then tighten the
+    * radii and renumber the slots in leaf order. */
   def build(items: Array[IndexedPoint], pivots: Array[Array[Double]], capacity: Int = 16): PMTree = {
     val t = new PMTree(pivots, capacity)
-    items.foreach(t.insert)
-    t.tighten()
+    t.load(Slots.of(items))
     t
   }
 

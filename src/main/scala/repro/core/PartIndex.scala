@@ -1,51 +1,84 @@
 package repro.core
 
 /** A per-partition index over the projected space. One instance is built
-  * inside `mapPartitions` per Spark partition and cached as a row of a
-  * `Dataset[PartIndex]` (kryo-encoded). A query round broadcasts its batch
-  * of (q, q', radius, c·r), range-searches every index, verifies the
-  * candidates there, and ships back one `TopK` summary per query and
-  * partition: two counts and the partition's k nearest candidates.
+  * inside `mapPartitions` per Spark partition and kept as a live object of
+  * an `RDD[PartIndex]` persisted `MEMORY_ONLY`, so a query round reads it
+  * in place. Its points live in one slot-addressed payload (`Slots`); the
+  * tree's leaves hold slots. A round broadcasts its batch of
+  * (q, q', radius, c·r) and `probe`s every index, which verifies its
+  * candidates there and returns one `TopK` summary per query: two counts
+  * and the partition's k nearest candidates.
+  *
+  * The index is read-only once built: every search writes into buffers of
+  * its own, so concurrent queries can share one.
   */
 trait PartIndex extends Serializable {
-  def size: Int
 
-  /** Points with projected distance ≤ r from qProj, with those distances;
-    * at most `cap` of them (Algorithm 2 stops at its candidate budget). */
-  def rangeSearch(qProj: Array[Double], r: Double,
-                  cap: Int = Int.MaxValue): Iterator[(IndexedPoint, Double)]
-}
+  /** The partition's points, in slot order. */
+  def points: Slots
 
-object PartIndex {
-  /** Keep the `cap` nearest (by projected distance) of a range result:
-    * when the ball holds more than the candidate budget, the best distance
-    * *estimates* (§3.2, point-to-point) are the ones worth verifying —
-    * truncating in traversal order would drop true neighbors arbitrarily.
-    * Projected distances are m-dimensional and already paid for inside the
-    * tree; only the returned candidates incur d-dimensional verification.
+  def size: Int = points.size
+
+  /** The range search `range(q', r)` in the projected space, appended to
+    * `out` in traversal order. */
+  private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit
+
+  /** Points with projected distance ≤ r from qProj; when there are more than
+    * `cap`, the `cap` nearest by projected distance (equal distances in
+    * traversal order). When the ball holds more than the candidate budget
+    * (Algorithm 2 stops at βn + k), the best distance *estimates* (§3.2,
+    * point-to-point) are the ones worth verifying: truncating in traversal
+    * order would drop true neighbors arbitrarily. Projected distances are
+    * m-dimensional and already paid for inside the tree; only the kept
+    * candidates incur d-dimensional verification.
     */
-  private[core] def nearestFirst(
-      res: scala.collection.mutable.ArrayBuffer[(IndexedPoint, Double)],
-      cap: Int): Iterator[(IndexedPoint, Double)] =
-    if (res.length <= cap) res.iterator
-    else res.sortBy(_._2).iterator.take(cap)
+  private def candidates(qProj: Array[Double], r: Double, cap: Int): Hits = {
+    val hits = new Hits
+    search(qProj, r, hits)
+    hits.keepNearest(cap)
+    hits
+  }
+
+  /** The candidates of `probe`, with their projected distances. */
+  def rangeSearch(qProj: Array[Double], r: Double,
+                  cap: Int = Int.MaxValue): Iterator[(IndexedPoint, Double)] = {
+    val hits = candidates(qProj, r, cap)
+    Iterator.tabulate(hits.size)(i => (points.point(hits.slots(i)), hits.dists(i)))
+  }
+
+  /** One query's round on this partition: the candidates within projected
+    * radius r (at most `cap`, see `rangeSearch`), verified against the
+    * original-space query q and summarized by `TopK.of`. */
+  def probe(q: Array[Double], qProj: Array[Double], r: Double, cap: Int, k: Int, cr: Double): TopK = {
+    val hits = candidates(qProj, r, cap)
+    val pts = points
+    val ids = new Array[Long](hits.size)
+    val dists = new Array[Double](hits.size)
+    var i = 0
+    while (i < hits.size) {
+      val s = hits.slots(i)
+      ids(i) = pts.ids(s)
+      dists(i) = pts.dist(q, s)
+      i += 1
+    }
+    TopK.of(ids, dists, k, cr)
+  }
 }
 
 /** PM-LSH's partition index (§4.1). */
 final class PMTreePart(val tree: PMTree) extends PartIndex {
-  override def size: Int = tree.size
-  override def rangeSearch(qProj: Array[Double], r: Double,
-                           cap: Int): Iterator[(IndexedPoint, Double)] =
-    PartIndex.nearestFirst(tree.range(qProj, r), cap)
+  override def points: Slots = tree.points
+  override private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit =
+    tree.search(qProj, r, out)
 }
 
 /** R-LSH's / SRS's partition index (§3.1, §6.1). */
 final class RTreePart(val tree: RTree) extends PartIndex {
-  override def size: Int = tree.size
-  override def rangeSearch(qProj: Array[Double], r: Double,
-                           cap: Int): Iterator[(IndexedPoint, Double)] =
-    PartIndex.nearestFirst(tree.range(qProj, r), cap)
+  override def points: Slots = tree.points
+  override private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit =
+    tree.search(qProj, r, out)
 
-  /** Incremental NN order for SRS. */
-  def incSearch(qProj: Array[Double]): Iterator[(IndexedPoint, Double)] = tree.incSearch(qProj)
+  /** Incremental NN order for SRS: slots by ascending projected distance,
+    * with those distances. */
+  def incSlots(qProj: Array[Double]): Iterator[(Int, Double)] = tree.nearest(qProj, tally = false)
 }

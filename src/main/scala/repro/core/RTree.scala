@@ -20,27 +20,26 @@ case class RNodeSummary(nEntries: Int, lo: Array[Double], hi: Array[Double], isR
   * neighbor (Hjaltason–Samet best-first priority queue) for SRS's
   * `incSearch`. `distCount` counts query-time point-distance computations,
   * `nodeAccesses` counts visited nodes.
+  *
+  * Leaves hold slots of one flat payload (`Slots`). The tree is built once,
+  * by `RTree.build`, which then renumbers the slots in leaf order.
   */
 final class RTree(val capacity: Int) extends Serializable {
   require(capacity >= 4, s"capacity must be >= 4, got $capacity")
   private val minFill = math.max(1, (capacity * 0.4).toInt)
 
   private final class Node(val isLeaf: Boolean) extends Serializable {
-    val items = new ArrayBuffer[IndexedPoint]() // leaf payload
-    val children = new ArrayBuffer[Node]() // inner payload
+    var slots: Array[Int] = Array.emptyIntArray // leaf payload: slots of `pts`
+    val children = new ArrayBuffer[Node](if (isLeaf) 0 else capacity + 1) // inner payload
     var lo: Array[Double] = null
     var hi: Array[Double] = null
 
-    def nEntries: Int = if (isLeaf) items.length else children.length
+    def nEntries: Int = if (isLeaf) slots.length else children.length
 
     def recomputeMbr(): Unit = {
-      if (isLeaf) {
-        lo = null; hi = null
-        items.foreach(it => extendBy(it.proj, it.proj))
-      } else {
-        lo = null; hi = null
-        children.foreach(c => extendBy(c.lo, c.hi))
-      }
+      lo = null; hi = null
+      if (isLeaf) slots.foreach { s => val p = pts.projRow(s); extendBy(p, p) }
+      else children.foreach(c => extendBy(c.lo, c.hi))
     }
 
     def extendBy(l: Array[Double], h: Array[Double]): Unit = {
@@ -56,10 +55,13 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
+  private var pts: Slots = Slots.of(Array.empty[IndexedPoint])
   private var root: Node = new Node(true)
-  private var count = 0
 
-  def size: Int = count
+  def size: Int = pts.size
+
+  /** The indexed points, in slot order (leaf order). */
+  def points: Slots = pts
 
   var distCount: Long = 0L
   var nodeAccesses: Long = 0L
@@ -83,9 +85,23 @@ final class RTree(val capacity: Int) extends Serializable {
     s
   }
 
-  def insert(item: IndexedPoint): Unit = {
-    count += 1
-    val splitRoot = insertRec(root, item)
+  /** Indexes `points`: inserts every slot in order, then renumbers the
+    * slots in leaf order. */
+  private def load(points: Slots): Unit = {
+    pts = points
+    var slot = 0
+    while (slot < points.size) { insert(slot); slot += 1 }
+    val leaves = new ArrayBuffer[Node]()
+    def rec(n: Node): Unit = if (n.isLeaf) leaves += n else n.children.foreach(rec)
+    rec(root)
+    val order = leaves.flatMap(_.slots).toArray
+    pts = pts.permute(order)
+    var next = 0
+    leaves.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
+  }
+
+  private def insert(slot: Int): Unit = {
+    val splitRoot = insertRec(root, slot, pts.projRow(slot))
     splitRoot.foreach { case (a, b) =>
       val nr = new Node(false)
       nr.children += a
@@ -95,22 +111,23 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  /** Recursive insert; returns the two replacement nodes if `node` split. */
-  private def insertRec(node: Node, item: IndexedPoint): Option[(Node, Node)] = {
-    node.extendBy(item.proj, item.proj)
+  /** Recursive insert of `slot`, whose projected point is `p`; returns the
+    * two replacement nodes if `node` split. */
+  private def insertRec(node: Node, slot: Int, p: Array[Double]): Option[(Node, Node)] = {
+    node.extendBy(p, p)
     if (node.isLeaf) {
-      node.items += item
-      if (node.items.length > capacity) Some(splitLeaf(node)) else None
+      node.slots = node.slots :+ slot
+      if (node.slots.length > capacity) Some(splitLeaf(node)) else None
     } else {
       var best: Node = null
       var bestEnl = Double.MaxValue
       var bestMargin = Double.MaxValue
       node.children.foreach { c =>
-        val e = enlargement(c.lo, c.hi, item.proj, item.proj)
+        val e = enlargement(c.lo, c.hi, p, p)
         val m = margin(c.lo, c.hi)
         if (e < bestEnl || (e == bestEnl && m < bestMargin)) { best = c; bestEnl = e; bestMargin = m }
       }
-      insertRec(best, item) match {
+      insertRec(best, slot, p) match {
         case None => None
         case Some((a, b)) =>
           node.children -= best
@@ -197,9 +214,9 @@ final class RTree(val capacity: Int) extends Serializable {
   }
 
   private def splitLeaf(node: Node): (Node, Node) = {
-    val (g1, g2) = distribute[IndexedPoint](node.items.toIndexedSeq, _.proj, _.proj)
-    val a = new Node(true); a.items ++= g1; a.recomputeMbr()
-    val b = new Node(true); b.items ++= g2; b.recomputeMbr()
+    val (g1, g2) = distribute[Int](node.slots.toIndexedSeq, pts.projRow, pts.projRow)
+    val a = new Node(true); a.slots = g1.toArray; a.recomputeMbr()
+    val b = new Node(true); b.slots = g2.toArray; b.recomputeMbr()
     (a, b)
   }
 
@@ -222,26 +239,37 @@ final class RTree(val capacity: Int) extends Serializable {
     sum
   }
 
-  /** All points with ||q, o'|| ≤ r, with projected distances. `cap` stops
-    * the traversal once that many results are collected (Algorithm 2
-    * searches only until its candidate budget is reached).
+  /** All points with ||q, o'|| ≤ r, with projected distances, in traversal
+    * order. The points are read through the slots only when an element is
+    * read.
     */
-  def range(q: Array[Double], r: Double,
-            cap: Int = Int.MaxValue): ArrayBuffer[(IndexedPoint, Double)] = {
-    val out = new ArrayBuffer[(IndexedPoint, Double)]()
-    if (count == 0) return out
+  def range(q: Array[Double], r: Double): IndexedSeq[(IndexedPoint, Double)] = {
+    val hits = new Hits
+    search(q, r, hits)
+    distCount += hits.distCount
+    nodeAccesses += hits.nodeAccesses
+    new SlotRange(pts, hits)
+  }
+
+  /** `range` into `out`, counting there the visited nodes and one distance
+    * per point of a visited leaf. */
+  private[core] def search(q: Array[Double], r: Double, out: Hits): Unit = {
+    if (size == 0) return
+    val proj = pts.proj
+    val m = pts.m
     val r2 = r * r
     val stack = new ArrayBuffer[Node]()
     stack += root
-    while (stack.nonEmpty && out.length < cap) {
+    while (stack.nonEmpty) {
       val node = stack.remove(stack.length - 1)
-      nodeAccesses += 1
+      out.nodeAccesses += 1
       if (node.isLeaf) {
+        val slots = node.slots
+        out.distCount += slots.length
         var i = 0
-        while (i < node.items.length && out.length < cap) {
-          distCount += 1
-          val d2 = Vec.sqDist(q, node.items(i).proj)
-          if (d2 <= r2) out += ((node.items(i), math.sqrt(d2)))
+        while (i < slots.length) {
+          val d2 = Vec.sqDist(q, proj, slots(i) * m)
+          if (d2 <= r2) out.add(slots(i), math.sqrt(d2))
           i += 1
         }
       } else {
@@ -253,29 +281,36 @@ final class RTree(val capacity: Int) extends Serializable {
         }
       }
     }
-    out
   }
 
   /** Incremental NN in the projected space: points in non-decreasing order
     * of projected distance to q (SRS's incSearch). Lazy — pull as needed.
     */
-  def incSearch(q: Array[Double]): Iterator[(IndexedPoint, Double)] = {
-    if (count == 0) return Iterator.empty
+  def incSearch(q: Array[Double]): Iterator[(IndexedPoint, Double)] =
+    nearest(q, tally = true).map { case (slot, pd) => (pts.point(slot), pd) }
+
+  /** `incSearch` as slots; `tally` adds its work to `distCount` and
+    * `nodeAccesses`. */
+  private[core] def nearest(q: Array[Double], tally: Boolean): Iterator[(Int, Double)] = {
+    if (size == 0) return Iterator.empty
+    val proj = pts.proj
+    val m = pts.m
     val pq = mutable.PriorityQueue.empty[(Double, AnyRef)](Ordering.by((e: (Double, AnyRef)) => -e._1))
     pq.enqueue((minSqDist(q, root.lo, root.hi), root))
-    new Iterator[(IndexedPoint, Double)] {
-      private var nextItem: (IndexedPoint, Double) = null
+    new Iterator[(Int, Double)] {
+      private var nextItem: (Int, Double) = null
       private def advance(): Unit = {
         while (nextItem == null && pq.nonEmpty) {
           val (key, ref) = pq.dequeue()
           ref match {
             case node: Node =>
-              nodeAccesses += 1
+              if (tally) nodeAccesses += 1
               if (node.isLeaf) {
+                if (tally) distCount += node.slots.length
                 var i = 0
-                while (i < node.items.length) {
-                  distCount += 1
-                  pq.enqueue((Vec.sqDist(q, node.items(i).proj), node.items(i)))
+                while (i < node.slots.length) {
+                  val slot = node.slots(i)
+                  pq.enqueue((Vec.sqDist(q, proj, slot * m), Int.box(slot)))
                   i += 1
                 }
               } else {
@@ -286,25 +321,25 @@ final class RTree(val capacity: Int) extends Serializable {
                   i += 1
                 }
               }
-            case item: IndexedPoint =>
-              nextItem = (item, math.sqrt(key))
+            case slot: Integer =>
+              nextItem = (slot.intValue, math.sqrt(key))
           }
         }
       }
       override def hasNext: Boolean = { advance(); nextItem != null }
-      override def next(): (IndexedPoint, Double) = {
+      override def next(): (Int, Double) = {
         advance()
         val r = nextItem; nextItem = null; r
       }
     }
   }
 
-  /** All stored items (test support). */
+  /** All stored items, leaf by leaf (test support). */
   def items: ArrayBuffer[IndexedPoint] = {
     val out = new ArrayBuffer[IndexedPoint]()
     def rec(n: Node): Unit =
-      if (n.isLeaf) out ++= n.items else n.children.foreach(rec)
-    if (count > 0) rec(root)
+      if (n.isLeaf) out ++= n.slots.map(pts.point) else n.children.foreach(rec)
+    if (size > 0) rec(root)
     out
   }
 
@@ -315,7 +350,7 @@ final class RTree(val capacity: Int) extends Serializable {
       out += RNodeSummary(n.nEntries, n.lo, n.hi, isRoot)
       if (!n.isLeaf) n.children.foreach(rec(_, false))
     }
-    if (count > 0) rec(root, isRoot = true)
+    if (size > 0) rec(root, isRoot = true)
     out.toSeq
   }
 
@@ -330,24 +365,23 @@ final class RTree(val capacity: Int) extends Serializable {
       }
       true
     }
-    def rec(n: Node): ArrayBuffer[IndexedPoint] = {
-      val all = new ArrayBuffer[IndexedPoint]()
-      if (n.isLeaf) all ++= n.items
-      else n.children.foreach(c => all ++= rec(c))
-      all.foreach(it => if (!covered(it.proj, n.lo, n.hi)) bad += 1)
+    def rec(n: Node): Array[Int] = {
+      val all = if (n.isLeaf) n.slots else n.children.toArray.flatMap(rec)
+      all.foreach(s => if (!covered(pts.projRow(s), n.lo, n.hi)) bad += 1)
       all
     }
-    if (count > 0) rec(root)
+    if (size > 0) rec(root)
     bad
   }
 }
 
 object RTree {
 
-  /** Build an R-tree by inserting every item (Guttman construction). */
+  /** Build an R-tree by inserting every item in order (Guttman
+    * construction), then renumber the slots in leaf order. */
   def build(items: Array[IndexedPoint], capacity: Int = 16): RTree = {
     val t = new RTree(capacity)
-    items.foreach(t.insert)
+    t.load(Slots.of(items))
     t
   }
 }

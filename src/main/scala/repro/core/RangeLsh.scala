@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable.ArrayBuffer
 
 /** PM-LSH parameters with the §6.1 defaults. */
@@ -23,8 +24,10 @@ case class LshParams(
   *
   * Build: project every point with the broadcast 2-stable family,
   * repartition, and build one PM-tree (or R-tree) per partition inside
-  * `mapPartitions`; the resulting `Dataset[PartIndex]` is cached. Pivots
-  * are selected once on the driver from a sample and broadcast so all
+  * `mapPartitions`, over the partition's points in flat slot-addressed
+  * arrays; the resulting `RDD[PartIndex]` is persisted `MEMORY_ONLY`, so
+  * the indexes stay live objects that no round has to decode. Pivots are
+  * selected once on the driver from a sample and broadcast so all
   * partitions share the same pivot space.
   *
   * Query (Algorithm 2, batched): every radius round is one Spark action
@@ -76,11 +79,15 @@ final class RangeLsh(
     // local copy: a lambda referencing the field would capture `this`
     // (which holds the SparkSession) and fail task serialization
     val bf = bcFamily
+    val dd = d
     points
       .repartition(params.partitions)
       .mapPartitions { it =>
         val f = bf.value
-        it.map(p => IndexedPoint(p.id, f.project(p.vec), p.vec))
+        it.map { p =>
+          Slots.requireRow(p.id, "vector", p.vec, dd)
+          IndexedPoint(p.id, f.project(p.vec), p.vec)
+        }
       }
       .persist()
   }
@@ -97,19 +104,21 @@ final class RangeLsh(
   val distances: EmpiricalDistances =
     EmpiricalDistances.fromSample(sample.take(params.distSample).map(_.vec), seed = params.seed)
 
-  val indexes: Dataset[PartIndex] = {
+  /** One index per partition, kept live: a round's tasks probe the cached
+    * objects in place. */
+  val indexes: RDD[PartIndex] = {
     val cap = params.capacity
     val pm = usePmTree
     val bp = bcPivots
-    projected
+    projected.rdd
       .mapPartitions { it =>
         val arr = it.toArray
         val idx: PartIndex =
           if (pm) new PMTreePart(PMTree.build(arr, bp.value, cap))
           else new RTreePart(RTree.build(arr, cap))
         Iterator.single(idx)
-      }(Encoders.kryo[PartIndex])
-      .persist()
+      }
+      .persist(StorageLevel.MEMORY_ONLY)
   }
 
   /** Dataset cardinality, computed while materializing the index. */
@@ -125,11 +134,6 @@ final class RangeLsh(
     val target = math.min(1.0, betaNk(k).toDouble / n)
     math.max(params.rminShrink * distances.quantile(target), 1e-9)
   }
-
-  /** `indexes` as an RDD, built once: a round's action then skips the
-    * Catalyst planning a Dataset action pays. The rows still come from the
-    * cached kryo Dataset. */
-  private lazy val indexRdd: RDD[PartIndex] = indexes.rdd
 
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
@@ -153,10 +157,8 @@ final class RangeLsh(
       round += 1
       val batch = active.map(i => (i, queries(i), qProjs(i), tt * radii(i), c * radii(i)))
       val bcBatch = sc.broadcast(batch)
-      val merged = TopK.gather(indexRdd, k) { part =>
-        bcBatch.value.iterator.map { case (qi, qv, qp, rr, cr) =>
-          qi -> TopK.verified(part.rangeSearch(qp, rr, partCap).map(_._1), qv, k, cr)
-        }
+      val merged = TopK.gather(indexes, k) { part =>
+        bcBatch.value.iterator.map { case (qi, qv, qp, rr, cr) => qi -> part.probe(qv, qp, rr, partCap, k, cr) }
       }
       bcBatch.destroy()
       val still = new ArrayBuffer[Int]()
@@ -184,9 +186,9 @@ final class RangeLsh(
     val bcQ = sc.broadcast((q, qp, t * r, params.c * r))
     val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + 1
     // each partition ships its candidate count and its closest candidate
-    val res = TopK.gather(indexRdd, 1) { part =>
+    val res = TopK.gather(indexes, 1) { part =>
       val (qv, qpp, rr, cr) = bcQ.value
-      Iterator.single(0 -> TopK.verified(part.rangeSearch(qpp, rr, partCap).map(_._1), qv, 1, cr))
+      Iterator.single(0 -> part.probe(qv, qpp, rr, partCap, 1, cr))
     }.getOrElse(0, TopK.empty)
     bcQ.destroy()
     Option.when(res.count >= budget || res.withinCr >= 1)(res.neighbors.head)

@@ -1,0 +1,135 @@
+package repro.core
+
+import java.util.Arrays
+
+/** The points of one partition index in flat arrays addressed by slot:
+  * slot s holds id `ids(s)`, projected coordinates `proj(s·m until s·m + m)`
+  * and original vector `vecs(s·d until s·d + d)`. The trees keep slots in
+  * their leaves and number them in leaf order after the build, so the
+  * points of one leaf sit next to each other.
+  */
+final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array[Double],
+                  val m: Int, val d: Int) extends Serializable {
+
+  def size: Int = ids.length
+
+  /** A copy of slot s's projected coordinates. */
+  def projRow(s: Int): Array[Double] = Arrays.copyOfRange(proj, s * m, s * m + m)
+
+  /** Slot s as an `IndexedPoint` (both rows copied). */
+  def point(s: Int): IndexedPoint =
+    IndexedPoint(ids(s), projRow(s), Arrays.copyOfRange(vecs, s * d, s * d + d))
+
+  /** ||q − slot s's original vector||. */
+  def dist(q: Array[Double], s: Int): Double = Vec.dist(q, vecs, s * d)
+
+  /** The same points, slot i holding what slot `order(i)` holds here. */
+  def permute(order: Array[Int]): Slots =
+    new Slots(order.map(ids(_)), Slots.gather(proj, m, order), Slots.gather(vecs, d, order), m, d)
+}
+
+object Slots {
+
+  /** `items` in slot order. Every item must have as many projected and
+    * original coordinates as the first, all finite: a short row would shift
+    * every later one. */
+  def of(items: Array[IndexedPoint]): Slots = {
+    val n = items.length
+    val (m, d) = if (n == 0) (0, 0) else (items(0).proj.length, items(0).vec.length)
+    require(n.toLong * math.max(m, d) <= Int.MaxValue, s"$n points of dimension ${math.max(m, d)} overflow one array")
+    val ids = new Array[Long](n)
+    val proj = new Array[Double](n * m)
+    val vecs = new Array[Double](n * d)
+    var s = 0
+    while (s < n) {
+      val p = items(s)
+      requireRow(p.id, "projection", p.proj, m)
+      requireRow(p.id, "vector", p.vec, d)
+      ids(s) = p.id
+      System.arraycopy(p.proj, 0, proj, s * m, m)
+      System.arraycopy(p.vec, 0, vecs, s * d, d)
+      s += 1
+    }
+    new Slots(ids, proj, vecs, m, d)
+  }
+
+  /** Rejects a row of the wrong length or with a NaN/∞ entry, naming the point. */
+  def requireRow(id: Long, what: String, row: Array[Double], len: Int): Unit = {
+    require(row.length == len, s"point $id: $what has ${row.length} coordinates, expected $len")
+    var i = 0
+    while (i < len && java.lang.Double.isFinite(row(i))) i += 1
+    require(i == len, s"point $id: $what has a non-finite coordinate")
+  }
+
+  /** The rows of `width` values of `a`, in `order`. */
+  private[core] def gather(a: Array[Double], width: Int, order: Array[Int]): Array[Double] = {
+    val out = new Array[Double](order.length * width)
+    var i = 0
+    while (i < order.length) { System.arraycopy(a, order(i) * width, out, i * width, width); i += 1 }
+    out
+  }
+}
+
+/** One range search's result: slots with their projected distances, in
+  * traversal order, plus the search's distance computations and node
+  * visits. Every search fills its own, so queries running at the same time
+  * share nothing mutable through an index.
+  */
+private[core] final class Hits {
+  var slots = new Array[Int](64)
+  var dists = new Array[Double](64)
+  var size = 0
+  var distCount = 0L
+  var nodeAccesses = 0L
+
+  def add(slot: Int, dist: Double): Unit = {
+    if (size == slots.length) {
+      slots = Arrays.copyOf(slots, 2 * size)
+      dists = Arrays.copyOf(dists, 2 * size)
+    }
+    slots(size) = slot
+    dists(size) = dist
+    size += 1
+  }
+
+  /** Keeps the `cap` nearest by projected distance, ascending, equal
+    * distances in traversal order; a result within the cap keeps its
+    * traversal order. */
+  def keepNearest(cap: Int): Unit = if (size > cap) { sortByDist(); size = cap }
+
+  /** Stable bottom-up merge sort of the first `size` entries by distance. */
+  private def sortByDist(): Unit = {
+    var s = slots; var d = dists
+    var ts = new Array[Int](size); var td = new Array[Double](size)
+    var width = 1
+    while (width < size) {
+      var lo = 0
+      while (lo < size) {
+        val mid = math.min(lo + width, size)
+        val hi = math.min(lo + 2 * width, size)
+        var i = lo; var j = mid; var o = lo
+        while (o < hi) {
+          if (j == hi || (i < mid && java.lang.Double.compare(d(i), d(j)) <= 0)) {
+            ts(o) = s(i); td(o) = d(i); i += 1
+          } else { ts(o) = s(j); td(o) = d(j); j += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val s0 = s; s = ts; ts = s0
+      val d0 = d; d = td; td = d0
+      width *= 2
+    }
+    slots = s; dists = d
+  }
+}
+
+/** A range result read through an index's slots: the `IndexedPoint` of an
+  * element is built only when the element is read. */
+private[core] final class SlotRange(pts: Slots, hits: Hits) extends IndexedSeq[(IndexedPoint, Double)] {
+  override def length: Int = hits.size
+  override def apply(i: Int): (IndexedPoint, Double) = {
+    if (i < 0 || i >= hits.size) throw new IndexOutOfBoundsException(s"$i is out of bounds (length ${hits.size})")
+    (pts.point(hits.slots(i)), hits.dists(i))
+  }
+}

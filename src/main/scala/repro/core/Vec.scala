@@ -25,6 +25,17 @@ object Vec {
   /** Euclidean distance ||a − b||. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
 
+  /** ||a − row||² for the row of `a.length` values starting at `flat(off)`:
+    * the same terms, summed in the same order, as `sqDist(a, row)`. */
+  def sqDist(a: Array[Double], flat: Array[Double], off: Int): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { val d = a(i) - flat(off + i); s += d * d; i += 1 }
+    s
+  }
+
+  /** ||a − row|| for the row of `a.length` values starting at `flat(off)`. */
+  def dist(a: Array[Double], flat: Array[Double], off: Int): Double = math.sqrt(sqDist(a, flat, off))
+
   /** Euclidean norm ||a||. */
   def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
 

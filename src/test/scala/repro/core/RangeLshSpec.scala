@@ -4,6 +4,7 @@ import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.data.HighDim
+import scala.concurrent.{Await, ExecutionContext, Future}
 
 /** End-to-end PM-LSH (and the R-LSH ablation): Algorithm 1/2 semantics,
   * Eq. 10 parameter arithmetic, and the Theorem-1 quality guarantee,
@@ -172,5 +173,44 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     failAfter(20.seconds) {
       intercept[IllegalArgumentException](pm.ballCover(withCoord(queries(0), Double.NaN), 1.0))
     }
+  }
+
+  test("knn batches running at once on one engine answer as they do one after the other") {
+    // one partition, so the tasks of concurrent jobs read the same index object
+    val e = new RangeLsh(spark, points, params.copy(partitions = 1), usePmTree = true)
+    val batches = Seq(queries.take(4), queries.drop(4))
+    def key(rs: Array[QueryResult]) = rs.toSeq.map(r => (r.neighbors.toSeq, r.rounds, r.candidates))
+    val sequential = batches.map(qs => key(e.knn(qs, k)))
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val runs = Seq.fill(3)(batches).flatten
+    val concurrent = Future.sequence(runs.map(qs => Future(key(e.knn(qs, k)))))
+    assert(Await.result(concurrent, scala.concurrent.duration.Duration(120, "s")) == Seq.fill(3)(sequential).flatten)
+    e.unpersist()
+  }
+
+  test("unpersist drops the cached index") {
+    val e = new RangeLsh(spark, points, params, usePmTree = false)
+    assert(spark.sparkContext.getPersistentRDDs.contains(e.indexes.id))
+    e.unpersist()
+    assert(!spark.sparkContext.getPersistentRDDs.contains(e.indexes.id))
+  }
+
+  /** Building an engine over the test points plus `bad` fails with an
+    * IllegalArgumentException (possibly wrapped by Spark) naming `bad`. */
+  private def rejectsPoint(bad: Point): Unit = {
+    import spark.implicits._
+    val data = (points.collect().sortBy(_.id).take(100) :+ bad).toSeq.toDS()
+    val e = intercept[Exception](new RangeLsh(spark, data, params, usePmTree = true))
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.exists(_.getMessage.contains(s"point ${bad.id}:")), e)
+  }
+
+  test("building over a point with a NaN coordinate fails, naming the point") {
+    rejectsPoint(Point(123456L, Array.tabulate(cfg.d)(i => if (i == 5) Double.NaN else 0.1 * i)))
+  }
+
+  test("building over a point with a short vector fails, naming the point") {
+    rejectsPoint(Point(123457L, Array.fill(cfg.d - 1)(0.5)))
   }
 }

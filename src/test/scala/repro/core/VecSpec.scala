@@ -56,4 +56,23 @@ class VecSpec extends AnyFunSuite {
     }
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop).passed)
   }
+
+  test("dist against a row of a flat array equals dist against the row, bit for bit (scalacheck)") {
+    val gen = for {
+      d <- Gen.choose(0, 20)
+      rows <- Gen.choose(1, 6)
+      q <- Gen.containerOfN[Array, Double](d, Gen.choose(-1e3, 1e3))
+      flat <- Gen.containerOfN[Array, Double](d * rows, Gen.choose(-1e3, 1e3))
+      i <- Gen.choose(0, rows - 1)
+    } yield (q, flat, i)
+    val prop = Prop.forAll(gen) { case (q, flat, i) =>
+      val d = q.length
+      val row = flat.slice(i * d, i * d + d)
+      java.lang.Double.doubleToRawLongBits(Vec.dist(q, flat, i * d)) ==
+        java.lang.Double.doubleToRawLongBits(Vec.dist(q, row)) &&
+        java.lang.Double.doubleToRawLongBits(Vec.sqDist(q, flat, i * d)) ==
+        java.lang.Double.doubleToRawLongBits(Vec.sqDist(q, row))
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)
+  }
 }

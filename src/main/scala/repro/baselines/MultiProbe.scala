@@ -1,17 +1,19 @@
 package repro.baselines
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.core._
 import scala.collection.mutable
 
-/** One partition of a Multi-Probe index: for each of the L hash tables, a
-  * map from compound bucket key G(o) to the member points.
+/** One partition of a Multi-Probe index: its points in input order, and
+  * for each of the L hash tables a map from compound bucket key G(o) to the
+  * member points' slots.
   */
 final class MultiProbePart(
-    val items: Array[IndexedPoint], // proj unused here; kept for uniformity
+    val points: Slots,
     val tables: Array[mutable.HashMap[String, mutable.ArrayBuffer[Int]]]) extends Serializable {
-  def size: Int = items.length
+  def size: Int = points.size
 }
 
 /** Multi-Probe LSH (Lv et al., §3.1) on Spark.
@@ -29,15 +31,15 @@ final class MultiProbePart(
 final class MultiProbe(
     spark: SparkSession,
     points: Dataset[Point],
-    val numTables: Int = 4,
-    val numDims: Int = 8,
     val probesPerTable: Int = 1500,
-    val wFactor: Double = 1.0,
     val partitions: Int = 8,
-    val seed: Long = 42,
-    val coordSample: Int = 400) {
+    val seed: Long = 42) {
 
-  import spark.implicits._
+  val numTables: Int = 4
+  val numDims: Int = 8
+  val wFactor: Double = 1.0
+  val coordSample: Int = 400
+
   private val sc = spark.sparkContext
 
   val d: Int = points.head().vec.length
@@ -46,13 +48,15 @@ final class MultiProbe(
     Array.tabulate(numTables)(t => new ProjectionFamily(d, numDims, seed + 1000L * (t + 1)))
 
   /** Bucket width per table: wFactor × mean per-dimension IQR of projected
-    * coordinates, from a driver-side sample.
+    * coordinates, from a driver-side sample, checked like the index's
+    * points before it is hashed.
     */
   val widths: Array[Double] = {
-    val sample = points.limit(coordSample).collect().map(_.vec)
+    val sample = points.limit(coordSample).collect()
     require(sample.nonEmpty, "empty dataset")
+    sample.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
     families.map { fam =>
-      val projs = sample.map(fam.project)
+      val projs = sample.map(p => fam.project(p.vec))
       val iqrs = (0 until numDims).map { i =>
         val col = projs.map(_(i)).sorted
         col((col.length * 3) / 4) - col(col.length / 4)
@@ -65,29 +69,35 @@ final class MultiProbe(
     Array.tabulate(numTables)(t => new BucketedLsh(families(t), widths(t), seed + 77L * (t + 1)))
   private val bcLshs = sc.broadcast(lshs)
 
-  val index: Dataset[MultiProbePart] = {
+  /** One index per partition, kept live: the query's tasks probe the cached
+    * objects in place. Every vector is checked (d finite coordinates)
+    * before it is hashed. */
+  val index: RDD[MultiProbePart] = {
     // locals only inside the lambda: field access would capture `this`
     val nt = numTables
     val bl = bcLshs
+    val dd = d
     points
       .repartition(partitions)
+      .rdd
       .mapPartitions { it =>
         val ls = bl.value
-        val items = it.map(p => IndexedPoint(p.id, Array.empty[Double], p.vec)).toArray
+        val pts = it.toArray
+        val slots = Slots.of(pts, dd)
         val tables = Array.fill(nt)(mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]])
         var j = 0
-        while (j < items.length) {
+        while (j < pts.length) {
           var t = 0
           while (t < nt) {
-            val key = ls(t).buckets(items(j).vec).mkString(",")
+            val key = ls(t).buckets(pts(j).vec).mkString(",")
             tables(t).getOrElseUpdate(key, new mutable.ArrayBuffer[Int]()) += j
             t += 1
           }
           j += 1
         }
-        Iterator.single(new MultiProbePart(items, tables))
-      }(Encoders.kryo[MultiProbePart])
-      .persist()
+        Iterator.single(new MultiProbePart(slots, tables))
+      }
+      .persist(StorageLevel.MEMORY_ONLY)
   }
 
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
@@ -136,10 +146,6 @@ final class MultiProbe(
     out.toArray
   }
 
-  /** `index` as an RDD, built once, so the query action skips Catalyst
-    * planning. */
-  private lazy val indexRdd: RDD[MultiProbePart] = index.rdd
-
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
@@ -149,7 +155,7 @@ final class MultiProbe(
     }
     val batch = queries.indices.map(i => (i, queries(i), probes(i))).toArray
     val bcBatch = sc.broadcast(batch)
-    val merged = TopK.gather(indexRdd, k) { part =>
+    val merged = TopK.gather(index, k) { part =>
       bcBatch.value.iterator.map { case (qi, qv, keysPerTable) =>
         val found = mutable.HashSet.empty[Int]
         var t = 0
@@ -161,7 +167,8 @@ final class MultiProbe(
           t += 1
         }
         // one probing pass, no radius: the within-c·r count is unused
-        qi -> TopK.verified(found.iterator.map(part.items(_)), qv, k, Double.NegativeInfinity)
+        val slots = found.toArray
+        qi -> part.points.verify(qv, slots, slots.length, k, Double.NegativeInfinity)
       }
     }
     bcBatch.destroy()

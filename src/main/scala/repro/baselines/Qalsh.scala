@@ -1,34 +1,31 @@
 package repro.baselines
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
 
-/** One partition of the QALSH index: for each of the K query-aware hash
-  * functions, the partition's points sorted by hash value — the flat-array
-  * stand-in for QALSH's B+-trees, with the same O(log n + out) window
-  * search (binary search + contiguous scan).
+/** One partition of the QALSH index: its points in input order, and for
+  * each of the K query-aware hash functions the points' slots sorted by
+  * hash value, with those values — the flat-array stand-in for QALSH's
+  * B+-trees, with the same O(log n + out) window search (binary search +
+  * contiguous scan). `hashes(s)` holds slot s's K hash values; only the
+  * sorted copy is kept.
   */
-final class QalshPart(
-    val items: Array[IndexedPoint], // proj holds the K hash values
-    val k: Int) extends Serializable {
+final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: Int) extends Serializable {
 
-  /** sortedIdx(i) = item indices ordered by hash value i; vals(i) aligned. */
-  val (sortedIdx, vals): (Array[Array[Int]], Array[Array[Double]]) = {
-    val si = new Array[Array[Int]](k)
-    val vs = new Array[Array[Double]](k)
-    var i = 0
-    while (i < k) {
-      val order = items.indices.sortBy(j => items(j).proj(i)).toArray
-      si(i) = order
-      vs(i) = order.map(j => items(j).proj(i))
-      i += 1
-    }
-    (si, vs)
-  }
+  /** Items whose `proj` holds the K hash values. */
+  def this(items: Array[IndexedPoint], k: Int) =
+    this(Slots.of(items.map(p => Point(p.id, p.vec)), if (items.isEmpty) 0 else items(0).vec.length),
+      items.map(_.proj), k)
 
-  def size: Int = items.length
+  /** sortedIdx(i) = slots ordered by hash value i; vals(i) aligned. The
+    * lambdas read a local copy: reading `hashes` would keep it as a field. */
+  val sortedIdx: Array[Array[Int]] = { val h = hashes; Array.tabulate(k)(i => h.indices.sortBy(j => h(j)(i)).toArray) }
+  val vals: Array[Array[Double]] = { val h = hashes; Array.tabulate(k)(i => sortedIdx(i).map(j => h(j)(i))) }
+
+  def size: Int = points.size
 
   private def lowerBound(a: Array[Double], x: Double): Int = {
     var lo = 0; var hi = a.length
@@ -36,12 +33,12 @@ final class QalshPart(
     lo
   }
 
-  /** Virtual rehashing round: indices of points with ≥ l collisions, where
+  /** Virtual rehashing round: slots of points with ≥ l collisions, where
     * a collision on hash i means |h_i(o) − h_i(q)| ≤ w·r/2.
     */
   def collisionCandidates(qHash: Array[Double], w: Double, r: Double, l: Int): Array[Int] = {
-    if (items.isEmpty) return Array.empty
-    val counts = new Array[Int](items.length)
+    if (size == 0) return Array.empty
+    val counts = new Array[Int](size)
     val half = w * r / 2.0
     var i = 0
     while (i < k) {
@@ -54,7 +51,7 @@ final class QalshPart(
     }
     val out = new ArrayBuffer[Int]()
     var j = 0
-    while (j < items.length) { if (counts(j) >= l) out += j; j += 1 }
+    while (j < size) { if (counts(j) >= l) out += j; j += 1 }
     out.toArray
   }
 }
@@ -79,15 +76,15 @@ final class QalshPart(
 final class Qalsh(
     spark: SparkSession,
     points: Dataset[Point],
-    val c: Double = 1.5,
-    val delta: Double = 1.0 / math.E,
-    val betaCount: Int = 100,
     val partitions: Int = 8,
-    val seed: Long = 42,
-    val kCap: Int = 128,
-    val distSample: Int = 300) {
+    val seed: Long = 42) {
 
-  import spark.implicits._
+  val c: Double = 1.5
+  val delta: Double = 1.0 / math.E
+  val betaCount: Int = 100
+  val kCap: Int = 128
+  val distSample: Int = 300
+
   private val sc = spark.sparkContext
 
   val d: Int = points.head().vec.length
@@ -117,18 +114,24 @@ final class Qalsh(
   val family = new ProjectionFamily(d, numHashes, seed)
   private val bcFamily = sc.broadcast(family)
 
-  val index: Dataset[QalshPart] = {
+  /** One index per partition, kept live: a round's tasks probe the cached
+    * objects in place. Every vector is checked (d finite coordinates)
+    * before it is hashed. */
+  val index: RDD[QalshPart] = {
     // locals only inside the lambda: field access would capture `this`
     val kk = numHashes
     val bf = bcFamily
+    val dd = d
     points
       .repartition(partitions)
+      .rdd
       .mapPartitions { it =>
         val f = bf.value
-        val arr = it.map(p => IndexedPoint(p.id, f.project(p.vec), p.vec)).toArray
-        Iterator.single(new QalshPart(arr, kk))
-      }(Encoders.kryo[QalshPart])
-      .persist()
+        val pts = it.toArray
+        val slots = Slots.of(pts, dd)
+        Iterator.single(new QalshPart(slots, pts.map(p => f.project(p.vec)), kk))
+      }
+      .persist(StorageLevel.MEMORY_ONLY)
   }
 
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
@@ -138,50 +141,24 @@ final class Qalsh(
   val distances: EmpiricalDistances =
     EmpiricalDistances.fromSample(sampleVecs, seed = seed)
 
-  /** `index` as an RDD, built once, so a round's action skips Catalyst
-    * planning. */
-  private lazy val indexRdd: RDD[QalshPart] = index.rdd
-
+  /** Batched (c,k)-ANN by virtual rehashing: each round counts collisions
+    * in the window of width w·r around every hash of the query. No
+    * candidates are carried across rounds: the window
+    * [h_i(q) - w·r/2, h_i(q) + w·r/2] only grows with r, so every point's
+    * collision count, and with it each round's candidate set, contains the
+    * previous round's. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    if (queries.isEmpty) return Array.empty
-    Vec.requireFinite(queries)
-    val qHashes = queries.map(family.project)
     val budget = betaCount.toLong + k
     val r0 = math.max(
       distances.quantile(math.min(1.0, budget.toDouble / n)) / (c * c), 1e-9)
-    val radii = Array.fill(queries.length)(r0)
-    val results = new Array[QueryResult](queries.length)
-    var active = queries.indices.toArray
-    var round = 0
     val ww = w
     val ll = l
-    // No candidates are carried across rounds: the window
-    // [h_i(q) - w·r/2, h_i(q) + w·r/2] only grows with r, so every point's
-    // collision count, and with it each round's candidate set, contains the
-    // previous round's.
-    while (active.nonEmpty) {
-      round += 1
-      val batch = active.map(i => (i, queries(i), qHashes(i), radii(i), c * radii(i)))
-      val bcBatch = sc.broadcast(batch)
-      val merged = TopK.gather(indexRdd, k) { part =>
-        bcBatch.value.iterator.map { case (qi, qv, qh, r, cr) =>
-          qi -> TopK.verified(part.collisionCandidates(qh, ww, r, ll).iterator.map(part.items(_)), qv, k, cr)
-        }
-      }
-      bcBatch.destroy()
-      val still = new ArrayBuffer[Int]()
-      active.foreach { qi =>
-        val res = merged.getOrElse(qi, TopK.empty)
-        if (res.withinCr >= k || res.count >= budget || res.count >= n) {
-          results(qi) = QueryResult(res.neighbors, round, res.count)
-        } else {
-          radii(qi) *= c
-          still += qi
-        }
-      }
-      active = still.toArray
+    val f = family
+    TopK.radiusRounds(index, queries, k, n, budget, r0, c)(q => (q, f.project(q))) {
+      case (part, (q, qh), r, cr) =>
+        val cands = part.collisionCandidates(qh, ww, r, ll)
+        part.points.verify(q, cands, cands.length, k, cr)
     }
-    results
   }
 
   def unpersist(): Unit = index.unpersist()

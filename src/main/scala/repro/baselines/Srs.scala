@@ -19,12 +19,11 @@ import scala.collection.mutable
   * (an unseen point that could beat the current k-th best by factor c must
   * have projected distance ≥ r'_next, an event of vanishing probability).
   */
-final class Srs(
-    spark: SparkSession,
-    val engine: RangeLsh,
-    val tFrac: Double = 0.4010,
-    val pTau: Double = 0.8107) {
+final class Srs(spark: SparkSession, val engine: RangeLsh) {
   require(!engine.usePmTree, "SRS requires an R-tree engine (usePmTree = false)")
+
+  val tFrac: Double = 0.4010
+  val pTau: Double = 0.8107
 
   private val sc = spark.sparkContext
 

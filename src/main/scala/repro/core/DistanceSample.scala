@@ -53,7 +53,7 @@ object EmpiricalDistances {
         out
       } else {
         Array.fill(maxPairs) {
-          var i = rng.nextInt(n)
+          val i = rng.nextInt(n)
           var j = rng.nextInt(n)
           while (j == i) j = rng.nextInt(n)
           Vec.dist(vecs(i), vecs(j))

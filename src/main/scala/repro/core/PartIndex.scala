@@ -51,17 +51,7 @@ trait PartIndex extends Serializable {
     * original-space query q and summarized by `TopK.of`. */
   def probe(q: Array[Double], qProj: Array[Double], r: Double, cap: Int, k: Int, cr: Double): TopK = {
     val hits = candidates(qProj, r, cap)
-    val pts = points
-    val ids = new Array[Long](hits.size)
-    val dists = new Array[Double](hits.size)
-    var i = 0
-    while (i < hits.size) {
-      val s = hits.slots(i)
-      ids(i) = pts.ids(s)
-      dists(i) = pts.dist(q, s)
-      i += 1
-    }
-    TopK.of(ids, dists, k, cr)
+    points.verify(q, hits.slots, hits.size, k, cr)
   }
 }
 

@@ -3,21 +3,22 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import scala.collection.mutable.ArrayBuffer
 
-/** PM-LSH parameters with the §6.1 defaults. */
+/** PM-LSH parameters: the §6.1 defaults, and the three settings callers
+  * choose. */
 case class LshParams(
-    m: Int = 15,
-    s: Int = 5,
-    c: Double = 1.5,
-    alpha1: Double = 1.0 / math.E,
-    capacity: Int = 16,
     partitions: Int = 8,
     seed: Long = 42,
-    rminShrink: Double = 0.95,
-    pivotSample: Int = 500,
-    distSample: Int = 300,
-    paperBeta: Boolean = true)
+    paperBeta: Boolean = true) {
+  val m: Int = 15
+  val s: Int = 5
+  val c: Double = 1.5
+  val alpha1: Double = 1.0 / math.E
+  val capacity: Int = 16
+  val rminShrink: Double = 0.95
+  val pivotSample: Int = 500
+  val distSample: Int = 300
+}
 
 /** The PM-LSH framework (§4) on Spark — and, with `usePmTree = false`, the
   * R-LSH ablation of §6.1 (same engine, R-tree partition indexes).
@@ -135,45 +136,20 @@ final class RangeLsh(
     math.max(params.rminShrink * distances.quantile(target), 1e-9)
   }
 
-  /** Batched (c,k)-ANN (Algorithm 2) for all queries at once. */
+  /** Batched (c,k)-ANN (Algorithm 2) for all queries at once: each round
+    * range-searches every partition at t·r. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    if (queries.isEmpty) return Array.empty
-    Vec.requireFinite(queries)
-    val qProjs = queries.map(family.project)
     val budget = betaNk(k)
-    val r0 = rMin(k)
-    val radii = Array.fill(queries.length)(r0)
-    val results = new Array[QueryResult](queries.length)
-    var active = queries.indices.toArray
-    var round = 0
-    val c = params.c
     val tt = t
     // Algorithm 2 line 7 stops searching at beta*n + k points; with random
     // partitioning each partition holds ~1/P of any candidate set, so an
     // even per-partition share (with 20% headroom for imbalance) realizes
     // the same early stop distributively.
     val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + k
-    while (active.nonEmpty) {
-      round += 1
-      val batch = active.map(i => (i, queries(i), qProjs(i), tt * radii(i), c * radii(i)))
-      val bcBatch = sc.broadcast(batch)
-      val merged = TopK.gather(indexes, k) { part =>
-        bcBatch.value.iterator.map { case (qi, qv, qp, rr, cr) => qi -> part.probe(qv, qp, rr, partCap, k, cr) }
-      }
-      bcBatch.destroy()
-      val still = new ArrayBuffer[Int]()
-      active.foreach { qi =>
-        val res = merged.getOrElse(qi, TopK.empty)
-        if (res.count >= budget || res.count >= n || res.withinCr >= k) {
-          results(qi) = QueryResult(res.neighbors, round, res.count)
-        } else {
-          radii(qi) *= c
-          still += qi
-        }
-      }
-      active = still.toArray
+    val f = family
+    TopK.radiusRounds(indexes, queries, k, n, budget, rMin(k), params.c)(q => (q, f.project(q))) {
+      case (part, (q, qp), r, cr) => part.probe(q, qp, tt * r, partCap, k, cr)
     }
-    results
   }
 
   /** Algorithm 1 — the (r, c)-BC query. Returns the closest candidate when

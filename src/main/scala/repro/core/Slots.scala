@@ -23,6 +23,20 @@ final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array
   /** ||q − slot s's original vector||. */
   def dist(q: Array[Double], s: Int): Double = Vec.dist(q, vecs, s * d)
 
+  /** The first `size` of `slots` verified against the original-space query
+    * q, in that order, and summarized by `TopK.of`. */
+  def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double): TopK = {
+    val out = new Array[Long](size)
+    val dists = new Array[Double](size)
+    var i = 0
+    while (i < size) {
+      out(i) = ids(slots(i))
+      dists(i) = dist(q, slots(i))
+      i += 1
+    }
+    TopK.of(out, dists, k, cr)
+  }
+
   /** The same points, slot i holding what slot `order(i)` holds here. */
   def permute(order: Array[Int]): Slots =
     new Slots(order.map(ids(_)), Slots.gather(proj, m, order), Slots.gather(vecs, d, order), m, d)
@@ -33,9 +47,16 @@ object Slots {
   /** `items` in slot order. Every item must have as many projected and
     * original coordinates as the first, all finite: a short row would shift
     * every later one. */
-  def of(items: Array[IndexedPoint]): Slots = {
+  def of(items: Array[IndexedPoint]): Slots =
+    if (items.isEmpty) of(items, 0, 0) else of(items, items(0).proj.length, items(0).vec.length)
+
+  /** `points` in slot order, without projections (m = 0). Every vector must
+    * have d coordinates, all finite. */
+  def of(points: Array[Point], d: Int): Slots =
+    of(points.map(p => IndexedPoint(p.id, Array.emptyDoubleArray, p.vec)), 0, d)
+
+  private def of(items: Array[IndexedPoint], m: Int, d: Int): Slots = {
     val n = items.length
-    val (m, d) = if (n == 0) (0, 0) else (items(0).proj.length, items(0).vec.length)
     require(n.toLong * math.max(m, d) <= Int.MaxValue, s"$n points of dimension ${math.max(m, d)} overflow one array")
     val ids = new Array[Long](n)
     val proj = new Array[Double](n * m)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
+import scala.reflect.ClassTag
 
 /** What one partition reports for one query in a round of Algorithms 1/2:
   * its candidate count |C_p|, how many of those lie within c·r, and its k
@@ -27,14 +28,6 @@ object TopK {
     TopK(ids.length, within, pos.map(ids), pos.map(dists))
   }
 
-  /** Verifies `cands` against the original-space query `q` and summarizes them. */
-  def verified(cands: Iterator[IndexedPoint], q: Array[Double], k: Int, cr: Double): TopK = {
-    val ids = Array.newBuilder[Long]
-    val dists = Array.newBuilder[Double]
-    cands.foreach { p => ids += p.id; dists += Vec.dist(q, p.vec) }
-    of(ids.result(), dists.result(), k, cr)
-  }
-
   /** Merges one query's partition summaries, given in partition order: the
     * counts add up, and the k smallest of the concatenated top-k lists, ties
     * in concatenation order, are exactly the first k of a stable sort of all
@@ -52,6 +45,41 @@ object TopK {
     * tie order relies on. */
   def gather[P](parts: RDD[P], k: Int)(probe: P => Iterator[(Int, TopK)]): Map[Int, TopK] =
     parts.flatMap(probe).collect().groupBy(_._1).map { case (qi, rows) => qi -> merge(rows.map(_._2), k) }
+
+  /** Algorithm 2's radius loop (§4.4), batched: every round is one `gather`
+    * of the still-active queries, each at its own radius r, starting at r0.
+    * A query finishes once its candidates reach `budget` or n, or k of them
+    * lie within c·r; otherwise r ← c·r. `prepare` turns a query into what
+    * the probes read (e.g. with its projection), once per query, and
+    * `probe(part, query, r, c·r)` runs one query's round on one partition;
+    * c·r is computed here, on the driver, so every executor compares against
+    * the same double. */
+  def radiusRounds[P, Q: ClassTag](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long,
+                                   budget: Long, r0: Double, c: Double)(prepare: Array[Double] => Q)(
+                                   probe: (P, Q, Double, Double) => TopK): Array[QueryResult] = {
+    if (queries.isEmpty) return Array.empty
+    Vec.requireFinite(queries)
+    val prepared = queries.map(prepare)
+    val radii = Array.fill(queries.length)(r0)
+    val results = new Array[QueryResult](queries.length)
+    var active = queries.indices.toArray
+    var round = 0
+    while (active.nonEmpty) {
+      round += 1
+      val bcBatch = parts.sparkContext.broadcast(active.map(i => (i, prepared(i), radii(i), c * radii(i))))
+      val merged = gather(parts, k) { part =>
+        bcBatch.value.iterator.map { case (qi, q, r, cr) => qi -> probe(part, q, r, cr) }
+      }
+      bcBatch.destroy()
+      active = active.filter { qi =>
+        val res = merged.getOrElse(qi, empty)
+        val done = res.count >= budget || res.count >= n || res.withinCr >= k
+        if (done) results(qi) = QueryResult(res.neighbors, round, res.count) else radii(qi) *= c
+        !done
+      }
+    }
+    results
+  }
 
   /** Positions of the k smallest `dists`, ascending, equal distances in input
     * order: the first k positions of a stable sort under the same total

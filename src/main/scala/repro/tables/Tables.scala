@@ -1,6 +1,6 @@
 package repro.tables
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baselines.{MultiProbe, Qalsh, Srs}
 import repro.core._
 import repro.data.{HighDim, HighDimConfig}

@@ -1,8 +1,9 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Point
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -16,6 +17,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Building an engine with `build` over the first 100 `points` by id plus
+    * `bad` fails with an IllegalArgumentException (possibly wrapped by
+    * Spark) naming `bad`. */
+  def assertBuildRejects(points: Dataset[Point], bad: Point)(build: Dataset[Point] => Any): Unit = {
+    val s = spark
+    import s.implicits._
+    val data = (points.collect().sortBy(_.id).take(100) :+ bad).toSeq.toDS()
+    val e = intercept[Exception](build(data))
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.exists(_.getMessage.contains(s"point ${bad.id}:")), e)
+  }
 }
 
 object SparkSpec {

@@ -90,4 +90,20 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     val q = queries(0).clone(); q(3) = Double.NaN
     failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
   }
+
+  test("unpersist drops the cached index") {
+    val e = new MultiProbe(spark, points, partitions = 4, seed = 3, probesPerTable = 5)
+    assert(spark.sparkContext.getPersistentRDDs.contains(e.index.id))
+    e.unpersist()
+    assert(!spark.sparkContext.getPersistentRDDs.contains(e.index.id))
+  }
+
+  test("building over a point with a NaN coordinate fails, naming the point") {
+    val bad = Point(123456L, Array.tabulate(cfg.d)(i => if (i == 5) Double.NaN else 0.1 * i))
+    assertBuildRejects(points, bad)(new MultiProbe(spark, _, partitions = 4, seed = 3))
+  }
+
+  test("building over a point with a short vector fails, naming the point") {
+    assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new MultiProbe(spark, _, partitions = 4, seed = 3))
+  }
 }

@@ -114,4 +114,20 @@ class QalshSpec extends SparkSpec with TimeLimits {
     }
     assert(grew > 0, "no case where the candidate set was non-empty and grew")
   }
+
+  test("unpersist drops the cached index") {
+    val e = new Qalsh(spark, points, partitions = 4, seed = 3)
+    assert(spark.sparkContext.getPersistentRDDs.contains(e.index.id))
+    e.unpersist()
+    assert(!spark.sparkContext.getPersistentRDDs.contains(e.index.id))
+  }
+
+  test("building over a point with a NaN coordinate fails, naming the point") {
+    val bad = Point(123456L, Array.tabulate(cfg.d)(i => if (i == 5) Double.NaN else 0.1 * i))
+    assertBuildRejects(points, bad)(new Qalsh(spark, _, partitions = 4, seed = 3))
+  }
+
+  test("building over a point with a short vector fails, naming the point") {
+    assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new Qalsh(spark, _, partitions = 4, seed = 3))
+  }
 }

@@ -195,16 +195,8 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     assert(!spark.sparkContext.getPersistentRDDs.contains(e.indexes.id))
   }
 
-  /** Building an engine over the test points plus `bad` fails with an
-    * IllegalArgumentException (possibly wrapped by Spark) naming `bad`. */
-  private def rejectsPoint(bad: Point): Unit = {
-    import spark.implicits._
-    val data = (points.collect().sortBy(_.id).take(100) :+ bad).toSeq.toDS()
-    val e = intercept[Exception](new RangeLsh(spark, data, params, usePmTree = true))
-    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .collectFirst { case iae: IllegalArgumentException => iae }
-    assert(cause.exists(_.getMessage.contains(s"point ${bad.id}:")), e)
-  }
+  private def rejectsPoint(bad: Point): Unit =
+    assertBuildRejects(points, bad)(new RangeLsh(spark, _, params, usePmTree = true))
 
   test("building over a point with a NaN coordinate fails, naming the point") {
     rejectsPoint(Point(123456L, Array.tabulate(cfg.d)(i => if (i == 5) Double.NaN else 0.1 * i)))

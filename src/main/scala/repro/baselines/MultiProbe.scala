@@ -1,19 +1,172 @@
 package repro.baselines
 
+import java.lang.{Long => JLong}
+import java.util.Arrays
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.core._
-import scala.collection.mutable
+
+/** One hash table of a Multi-Probe partition in flat arrays. Bucket b has
+  * the fingerprint `keys(b)`, the exact mB coordinates
+  * `coords(b·mB until b·mB + mB)` and the member slots
+  * `members(offsets(b) until offsets(b + 1))`, ascending. Buckets are sorted
+  * by fingerprint, so buckets sharing one sit next to each other and are told
+  * apart by their coordinates.
+  */
+final class BucketTable(val mB: Int, val keys: Array[Long], val coords: Array[Int],
+                        val offsets: Array[Int], val members: Array[Int]) extends Serializable {
+
+  /** The bucket with fingerprint `fp` and coordinates
+    * `probe(off until off + mB)`, or −1 if no point hashed there. */
+  def find(fp: Long, probe: Array[Int], off: Int): Int = {
+    var lo = 0
+    var hi = keys.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (keys(mid) < fp) lo = mid + 1 else hi = mid
+    }
+    while (lo < keys.length && keys(lo) == fp) {
+      if (BucketTable.compare(coords, lo * mB, probe, off, mB) == 0) return lo
+      lo += 1
+    }
+    -1
+  }
+}
+
+object BucketTable {
+
+  /** A 64-bit fingerprint of the mB bucket coordinates `c(off until off + mB)`:
+    * a polynomial hash of the bucket vector, as E2LSH keys its buckets
+    * (Datar et al. 2004). Equal buckets get equal fingerprints; the table
+    * resolves the rare unequal pair that shares one. */
+  def fingerprint(c: Array[Int], off: Int, mB: Int): Long = {
+    var h = 0L
+    var i = 0
+    while (i < mB) { h = h * 0x9E3779B97F4A7C15L + c(off + i); i += 1 }
+    h
+  }
+
+  /** The table over slots 0 until n, slot j in the bucket with coordinates
+    * `coords(j·mB until j·mB + mB)` and fingerprint `fps(j)`. */
+  def build(coords: Array[Int], fps: Array[Long], mB: Int): BucketTable = {
+    val n = fps.length
+    def cmp(a: Int, b: Int): Int = {
+      val c = JLong.compare(fps(a), fps(b))
+      if (c != 0) c else compare(coords, a * mB, coords, b * mB, mB)
+    }
+    // stable, so each bucket's members stay in ascending slot order
+    val order = stableOrder(n, cmp)
+    val starts = new Array[Int](n + 1)
+    var buckets = 0
+    var i = 0
+    while (i < n) {
+      if (i == 0 || cmp(order(i - 1), order(i)) != 0) { starts(buckets) = i; buckets += 1 }
+      i += 1
+    }
+    starts(buckets) = n
+    val keys = new Array[Long](buckets)
+    val bucketCoords = new Array[Int](buckets * mB)
+    var b = 0
+    while (b < buckets) {
+      val s = order(starts(b))
+      keys(b) = fps(s)
+      System.arraycopy(coords, s * mB, bucketCoords, b * mB, mB)
+      b += 1
+    }
+    new BucketTable(mB, keys, bucketCoords, Arrays.copyOf(starts, buckets + 1), order)
+  }
+
+  /** Lexicographic order of `a(ao until ao + len)` and `b(bo until bo + len)`. */
+  private def compare(a: Array[Int], ao: Int, b: Array[Int], bo: Int, len: Int): Int = {
+    var i = 0
+    while (i < len && a(ao + i) == b(bo + i)) i += 1
+    if (i == len) 0 else Integer.compare(a(ao + i), b(bo + i))
+  }
+
+  /** 0 until n in the order of `cmp`, equal elements in ascending order: a
+    * bottom-up merge sort. */
+  private def stableOrder(n: Int, cmp: (Int, Int) => Int): Array[Int] = {
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var i = lo; var j = mid; var o = lo
+        while (o < hi) {
+          if (j == hi || (i < mid && cmp(src(i), src(j)) <= 0)) { dst(o) = src(i); i += 1 }
+          else { dst(o) = src(j); j += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
+  }
+}
 
 /** One partition of a Multi-Probe index: its points in input order, and
-  * for each of the L hash tables a map from compound bucket key G(o) to the
-  * member points' slots.
+  * for each of the L hash tables the flat table from compound bucket G(o)
+  * to the member points' slots.
   */
-final class MultiProbePart(
-    val points: Slots,
-    val tables: Array[mutable.HashMap[String, mutable.ArrayBuffer[Int]]]) extends Serializable {
+final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) extends Serializable {
   def size: Int = points.size
+
+  /** Writes to `out` the slots in the buckets `probes(t)` of every table t
+    * (mB coordinates per probe), each once, in first-probed order, and
+    * returns how many. A slot s counts as seen once `mark(s) == stamp`, so
+    * the caller passes a fresh stamp per query and owns `mark`: the index
+    * stays read-only. */
+  def candidates(probes: Array[Array[Int]], mark: Array[Int], stamp: Int, out: Array[Int]): Int = {
+    var size = 0
+    var t = 0
+    while (t < tables.length) {
+      val table = tables(t)
+      val ps = probes(t)
+      var off = 0
+      while (off < ps.length) {
+        val b = table.find(BucketTable.fingerprint(ps, off, table.mB), ps, off)
+        if (b >= 0) {
+          var i = table.offsets(b)
+          while (i < table.offsets(b + 1)) {
+            val s = table.members(i)
+            if (mark(s) != stamp) { mark(s) = stamp; out(size) = s; size += 1 }
+            i += 1
+          }
+        }
+        off += table.mB
+      }
+      t += 1
+    }
+    size
+  }
+}
+
+object MultiProbePart {
+
+  /** `points` in slot order, each checked (d finite coordinates) before it
+    * is hashed into one table per LSH. */
+  def of(points: Array[Point], lshs: Array[BucketedLsh], d: Int): MultiProbePart = {
+    val slots = Slots.of(points, d)
+    val tables = lshs.map { lsh =>
+      val mB = lsh.family.m
+      val coords = new Array[Int](points.length * mB)
+      val fps = new Array[Long](points.length)
+      var j = 0
+      while (j < points.length) {
+        System.arraycopy(lsh.buckets(points(j).vec), 0, coords, j * mB, mB)
+        fps(j) = BucketTable.fingerprint(coords, j * mB, mB)
+        j += 1
+      }
+      BucketTable.build(coords, fps, mB)
+    }
+    new MultiProbePart(slots, tables)
+  }
 }
 
 /** Multi-Probe LSH (Lv et al., §3.1) on Spark.
@@ -42,7 +195,7 @@ final class MultiProbe(
 
   private val sc = spark.sparkContext
 
-  val d: Int = points.head().vec.length
+  val d: Int = Points.dimension(points)
 
   private val families: Array[ProjectionFamily] =
     Array.tabulate(numTables)(t => new ProjectionFamily(d, numDims, seed + 1000L * (t + 1)))
@@ -53,11 +206,10 @@ final class MultiProbe(
     */
   val widths: Array[Double] = {
     val sample = points.limit(coordSample).collect()
-    require(sample.nonEmpty, "empty dataset")
     sample.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
     families.map { fam =>
       val projs = sample.map(p => fam.project(p.vec))
-      val iqrs = (0 until numDims).map { i =>
+      val iqrs = Array.tabulate(numDims) { i =>
         val col = projs.map(_(i)).sorted
         col((col.length * 3) / 4) - col(col.length / 4)
       }
@@ -70,105 +222,36 @@ final class MultiProbe(
   private val bcLshs = sc.broadcast(lshs)
 
   /** One index per partition, kept live: the query's tasks probe the cached
-    * objects in place. Every vector is checked (d finite coordinates)
-    * before it is hashed. */
+    * objects in place. */
   val index: RDD[MultiProbePart] = {
     // locals only inside the lambda: field access would capture `this`
-    val nt = numTables
     val bl = bcLshs
     val dd = d
     points
       .repartition(partitions)
       .rdd
-      .mapPartitions { it =>
-        val ls = bl.value
-        val pts = it.toArray
-        val slots = Slots.of(pts, dd)
-        val tables = Array.fill(nt)(mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]])
-        var j = 0
-        while (j < pts.length) {
-          var t = 0
-          while (t < nt) {
-            val key = ls(t).buckets(pts(j).vec).mkString(",")
-            tables(t).getOrElseUpdate(key, new mutable.ArrayBuffer[Int]()) += j
-            t += 1
-          }
-          j += 1
-        }
-        Iterator.single(new MultiProbePart(slots, tables))
-      }
+      .mapPartitions(it => Iterator.single(MultiProbePart.of(it.toArray, bl.value, dd)))
       .persist(StorageLevel.MEMORY_ONLY)
   }
 
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
 
-  /** Query-directed probing sequence for one table (Lv et al. 2007):
-    * perturbation sets over the 2·mB sorted boundary distances, expanded
-    * with the shift/expand heap; returns up to `maxProbes` bucket keys,
-    * starting with the home bucket.
-    */
-  def probeSequence(tableLsh: BucketedLsh, q: Array[Double], maxProbes: Int): Array[String] = {
-    val mB = tableLsh.family.m
-    val coords = tableLsh.coords(q) // in units of w
-    val base = coords.map(x => math.floor(x).toInt)
-    val wQ = tableLsh.w
-    // boundary distances x_i(δ) in original projected units
-    // z: sorted ascending (value, dim, delta)
-    val z: Array[(Double, Int, Int)] = (0 until mB).flatMap { i =>
-      val frac = (coords(i) - base(i)) * wQ
-      Seq((frac, i, -1), (wQ - frac, i, +1))
-    }.sortBy(_._1).toArray
-    val out = mutable.ArrayBuffer[String](base.mkString(","))
-    if (maxProbes <= 1 || z.isEmpty) return out.toArray
-    // perturbation set = sorted list of indices into z; score = Σ z(j)²
-    case class PSet(score: Double, idxs: List[Int])
-    val heap = mutable.PriorityQueue.empty[PSet](Ordering.by((p: PSet) => -p.score))
-    heap.enqueue(PSet(z(0)._1 * z(0)._1, List(0)))
-    def valid(idxs: List[Int]): Boolean = {
-      val dims = idxs.map(j => z(j)._2)
-      dims.distinct.length == dims.length
-    }
-    while (out.length < maxProbes && heap.nonEmpty) {
-      val p = heap.dequeue()
-      if (valid(p.idxs)) {
-        val bucket = base.clone()
-        p.idxs.foreach { j => bucket(z(j)._2) += z(j)._3 }
-        out += bucket.mkString(",")
-      }
-      val jmax = p.idxs.head // idxs kept max-first
-      if (jmax + 1 < z.length) {
-        val zn = z(jmax + 1)._1
-        val zo = z(jmax)._1
-        heap.enqueue(PSet(p.score - zo * zo + zn * zn, (jmax + 1) :: p.idxs.tail))
-        heap.enqueue(PSet(p.score + zn * zn, (jmax + 1) :: p.idxs))
-      }
-    }
-    out.toArray
-  }
-
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
-    // (query, table) → probe keys, computed on the driver
-    val probes: Array[Array[Array[String]]] = queries.map { q =>
-      lshs.map(l => probeSequence(l, q, probesPerTable))
+    // (query, its probes per table), computed on the driver
+    val batch = Array.tabulate(queries.length) { qi =>
+      (qi, queries(qi), lshs.map(MultiProbe.probeSequence(_, queries(qi), probesPerTable)))
     }
-    val batch = queries.indices.map(i => (i, queries(i), probes(i))).toArray
     val bcBatch = sc.broadcast(batch)
     val merged = TopK.gather(index, k) { part =>
-      bcBatch.value.iterator.map { case (qi, qv, keysPerTable) =>
-        val found = mutable.HashSet.empty[Int]
-        var t = 0
-        while (t < keysPerTable.length) {
-          val table = part.tables(t)
-          keysPerTable(t).foreach { key =>
-            table.get(key).foreach(_.foreach(found += _))
-          }
-          t += 1
-        }
+      // per-task buffers; the mark array is stamped with query number + 1
+      val mark = new Array[Int](part.size)
+      val found = new Array[Int](part.size)
+      bcBatch.value.iterator.map { case (qi, qv, probes) =>
+        val size = part.candidates(probes, mark, qi + 1, found)
         // one probing pass, no radius: the within-c·r count is unused
-        val slots = found.toArray
-        qi -> part.points.verify(qv, slots, slots.length, k, Double.NegativeInfinity)
+        qi -> part.points.verify(qv, found, size, k, Double.NegativeInfinity)
       }
     }
     bcBatch.destroy()
@@ -179,4 +262,133 @@ final class MultiProbe(
   }
 
   def unpersist(): Unit = index.unpersist()
+}
+
+object MultiProbe {
+
+  /** Query-directed probing sequence for one table (Lv et al. 2007): up to
+    * `maxProbes` buckets, the home bucket first, then in ascending score,
+    * as mB coordinates each in one flat array.
+    *
+    * The 2·mB boundary distances x_i(δ) are sorted ascending into z; a
+    * perturbation set is a bitmask over z, scored by the sum of its squared
+    * entries. From the start set {0} the min-heap grows sets by shift
+    * (replace the largest index j by j + 1) and expand (add j + 1); a set
+    * that perturbs one dimension twice is skipped.
+    */
+  def probeSequence(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Array[Int] = {
+    val mB = lsh.family.m
+    require(2 * mB <= 64, s"a perturbation set of $mB dimensions does not fit a 64-bit mask")
+    val coords = lsh.coords(q) // in units of w
+    val w = lsh.w
+    val base = new Array[Int](mB)
+    // boundary distances in projected units: entry 2i is δ = −1 on
+    // dimension i, entry 2i + 1 is δ = +1
+    val x = new Array[Double](2 * mB)
+    var i = 0
+    while (i < mB) {
+      base(i) = math.floor(coords(i)).toInt
+      val frac = (coords(i) - base(i)) * w
+      x(2 * i) = frac
+      x(2 * i + 1) = w - frac
+      i += 1
+    }
+    // z(j) = x(zx(j)), ascending, equal distances in entry order
+    val zx = Array.range(0, 2 * mB)
+    var j = 1
+    while (j < zx.length) {
+      val e = zx(j)
+      var p = j
+      while (p > 0 && java.lang.Double.compare(x(zx(p - 1)), x(e)) > 0) { zx(p) = zx(p - 1); p -= 1 }
+      zx(p) = e
+      j += 1
+    }
+    val z = zx.map(x)
+
+    if (maxProbes <= 1 || mB == 0) return base
+    var out = Arrays.copyOf(base, 64 * mB)
+    var probes = 1
+    val heap = new ProbeHeap
+    heap.push(z(0) * z(0), 1L)
+    while (probes < maxProbes && heap.size > 0) {
+      val score = heap.topScore
+      val set = heap.topSet
+      heap.pop()
+      if (perturbsEachDimOnce(set, zx)) {
+        if (out.length < (probes + 1) * mB) out = Arrays.copyOf(out, 2 * out.length)
+        val off = probes * mB
+        System.arraycopy(base, 0, out, off, mB)
+        var rest = set
+        while (rest != 0) {
+          val e = zx(JLong.numberOfTrailingZeros(rest))
+          out(off + e / 2) += (if (e % 2 == 0) -1 else 1)
+          rest &= rest - 1
+        }
+        probes += 1
+      }
+      val jmax = 63 - JLong.numberOfLeadingZeros(set)
+      if (jmax + 1 < z.length) {
+        val zn = z(jmax + 1)
+        val zo = z(jmax)
+        heap.push(score - zo * zo + zn * zn, set ^ (1L << jmax) | (1L << (jmax + 1))) // shift
+        heap.push(score + zn * zn, set | (1L << (jmax + 1))) // expand
+      }
+    }
+    Arrays.copyOf(out, probes * mB)
+  }
+
+  /** Whether the set's entries, z(j) = x(zx(j)), touch distinct dimensions. */
+  private def perturbsEachDimOnce(set: Long, zx: Array[Int]): Boolean = {
+    var dims = 0L
+    var rest = set
+    while (rest != 0) {
+      val dim = 1L << (zx(JLong.numberOfTrailingZeros(rest)) / 2)
+      if ((dims & dim) != 0) return false
+      dims |= dim
+      rest &= rest - 1
+    }
+    true
+  }
+
+  /** A binary min-heap of (score, perturbation set) in parallel arrays. */
+  private final class ProbeHeap {
+    private var scores = new Array[Double](64)
+    private var sets = new Array[Long](64)
+    var size = 0
+
+    def topScore: Double = scores(0)
+    def topSet: Long = sets(0)
+
+    def push(score: Double, set: Long): Unit = {
+      if (size == scores.length) {
+        scores = Arrays.copyOf(scores, 2 * size)
+        sets = Arrays.copyOf(sets, 2 * size)
+      }
+      var i = size
+      size += 1
+      while (i > 0 && scores((i - 1) >>> 1) > score) {
+        val parent = (i - 1) >>> 1
+        scores(i) = scores(parent); sets(i) = sets(parent)
+        i = parent
+      }
+      scores(i) = score; sets(i) = set
+    }
+
+    def pop(): Unit = {
+      size -= 1
+      val score = scores(size)
+      val set = sets(size)
+      var i = 0
+      var done = false
+      while (!done) {
+        var child = 2 * i + 1
+        if (child + 1 < size && scores(child + 1) < scores(child)) child += 1
+        if (child < size && scores(child) < score) {
+          scores(i) = scores(child); sets(i) = sets(child)
+          i = child
+        } else done = true
+      }
+      scores(i) = score; sets(i) = set
+    }
+  }
 }

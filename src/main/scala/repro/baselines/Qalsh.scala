@@ -87,7 +87,7 @@ final class Qalsh(
 
   private val sc = spark.sparkContext
 
-  val d: Int = points.head().vec.length
+  val d: Int = Points.dimension(points)
 
   /** w = √(8c²·ln c / (c² − 1)) — QALSH's optimal window width. */
   val w: Double = math.sqrt(8.0 * c * c * math.log(c) / (c * c - 1.0))

@@ -54,7 +54,7 @@ final class RangeLsh(
   import spark.implicits._
   private val sc = spark.sparkContext
 
-  val d: Int = points.head().vec.length
+  val d: Int = Points.dimension(points)
   val family = new ProjectionFamily(d, params.m, params.seed)
   private val bcFamily = sc.broadcast(family)
 

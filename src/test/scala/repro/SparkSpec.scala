@@ -30,6 +30,15 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       .collectFirst { case iae: IllegalArgumentException => iae }
     assert(cause.exists(_.getMessage.contains(s"point ${bad.id}:")), e)
   }
+
+  /** Building an engine with `build` over no points fails with an
+    * IllegalArgumentException that says the data is empty. */
+  def assertRejectsEmpty(build: Dataset[Point] => Any): Unit = {
+    val s = spark
+    import s.implicits._
+    val e = intercept[IllegalArgumentException](build(Seq.empty[Point].toDS()))
+    assert(e.getMessage.contains("data is empty"), e)
+  }
 }
 
 object SparkSpec {

@@ -1,10 +1,12 @@
 package repro.baselines
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.core._
 import repro.data.HighDim
+import scala.collection.mutable
 
 /** Multi-Probe: query-directed probing sequence and bucket retrieval. */
 class MultiProbeSpec extends SparkSpec with TimeLimits {
@@ -29,31 +31,118 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     assert(mp.index.count() == 4)
   }
 
+  /** A flat probing sequence as one coordinate row per probe. */
+  private def rows(flat: Array[Int], mB: Int): Seq[Seq[Int]] = {
+    assert(flat.length % mB == 0)
+    flat.grouped(mB).map(_.toSeq).toSeq
+  }
+
+  /** The members of `table`'s bucket with fingerprint `fp` and coordinates `b`. */
+  private def members(table: BucketTable, fp: Long, b: Array[Int]): Seq[Int] = {
+    val i = table.find(fp, b, 0)
+    if (i < 0) Seq.empty else table.members.slice(table.offsets(i), table.offsets(i + 1)).toSeq
+  }
+
   test("probe sequence starts at the home bucket and has unique keys") {
     val q = queries.head
     for (t <- 0 until mp.numTables) {
-      val seq = mp.probeSequence(mp.lshs(t), q, 100)
+      val seq = rows(MultiProbe.probeSequence(mp.lshs(t), q, 100), mp.numDims)
       assert(seq.nonEmpty && seq.length <= 100)
-      assert(seq.head == mp.lshs(t).buckets(q).mkString(","))
+      assert(seq.head == mp.lshs(t).buckets(q).toSeq)
       assert(seq.distinct.length == seq.length, "probe keys must be unique")
     }
   }
 
   test("probe sequence respects maxProbes = 1") {
-    val seq = mp.probeSequence(mp.lshs(0), queries.head, 1)
+    val seq = rows(MultiProbe.probeSequence(mp.lshs(0), queries.head, 1), mp.numDims)
     assert(seq.length == 1)
   }
 
   test("probed buckets differ from the home bucket by single-step perturbations") {
     val lsh = mp.lshs(0)
     val home = lsh.buckets(queries.head)
-    val seq = mp.probeSequence(lsh, queries.head, 50)
-    seq.drop(1).foreach { key =>
-      val b = key.split(",").map(_.toInt)
+    val seq = rows(MultiProbe.probeSequence(lsh, queries.head, 50), mp.numDims)
+    seq.drop(1).foreach { b =>
       val deltas = b.zip(home).map { case (x, h) => x - h }
-      assert(deltas.forall(d => d >= -1 && d <= 1), s"key $key")
+      assert(deltas.forall(d => d >= -1 && d <= 1), s"key $b")
       assert(deltas.exists(_ != 0), "non-home probes must perturb something")
     }
+  }
+
+  test("probe scores are non-decreasing along the sequence") {
+    for (q <- queries; lsh <- mp.lshs) {
+      val coords = lsh.coords(q)
+      val home = coords.map(x => math.floor(x).toInt)
+      // Σ x_i(δ)² over the perturbed dimensions, x_i the distance to the crossed boundary
+      val scores = rows(MultiProbe.probeSequence(lsh, q, 1500), mp.numDims).map { b =>
+        b.indices.map { i =>
+          val frac = (coords(i) - home(i)) * lsh.w
+          val x = b(i) - home(i) match { case -1 => frac; case 1 => lsh.w - frac; case _ => 0.0 }
+          x * x
+        }.sum
+      }
+      assert(scores.head == 0.0)
+      scores.sliding(2).foreach { case Seq(a, b) => assert(b >= a - 1e-9 * math.max(1.0, a), s"$a then $b") }
+    }
+  }
+
+  test("at probesPerTable = 1500 the probes are those of the List/PriorityQueue generator") {
+    for (q <- HighDim.queryVecs(cfg, 28).drop(8); lsh <- mp.lshs) {
+      val seq = rows(MultiProbe.probeSequence(lsh, q, 1500), mp.numDims)
+      val ref = MultiProbeSpec.referenceProbes(lsh, q, 1500)
+      assert(seq.length == ref.length)
+      assert(seq.head == ref.head)
+      assert(seq.toSet == ref.toSet)
+    }
+  }
+
+  test("flat tables return the members of a boxed bucket map for every probed bucket (scalacheck)") {
+    val d = 4
+    val gen = for {
+      n <- Gen.choose(1, 60)
+      pts <- Gen.listOfN(n, Gen.listOfN(d, Gen.choose(-3.0, 3.0)))
+      qs <- Gen.listOfN(3, Gen.listOfN(d, Gen.choose(-4.0, 4.0)))
+      seed <- Gen.choose(0L, 1000L)
+      w <- Gen.choose(0.5, 3.0)
+    } yield (pts.map(_.toArray).toArray, qs.map(_.toArray), seed, w)
+    val prop = Prop.forAll(gen) { case (vecs, qs, seed, w) =>
+      val lshs = Array.tabulate(2)(t => new BucketedLsh(new ProjectionFamily(d, 3, seed + t), w, seed + 10 + t))
+      val part = MultiProbePart.of(vecs.zipWithIndex.map { case (v, j) => Point(j.toLong, v) }, lshs, d)
+      val refs: Array[Map[List[Int], Seq[Int]]] =
+        lshs.map(lsh => vecs.indices.groupBy(j => lsh.buckets(vecs(j)).toList))
+      def lookup(t: Int, b: Seq[Int]): Seq[Int] =
+        members(part.tables(t), BucketTable.fingerprint(b.toArray, 0, 3), b.toArray)
+      val mark = new Array[Int](part.size)
+      val found = new Array[Int](part.size)
+      qs.zipWithIndex.forall { case (q, qi) =>
+        val probes = lshs.map(MultiProbe.probeSequence(_, q, 30))
+        val probed = probes.indices.map(t => rows(probes(t), 3))
+        val tablesAgree = probed.indices.forall { t =>
+          (probed(t) ++ refs(t).keys.map(_.toSeq)).forall(b => lookup(t, b) == refs(t).getOrElse(b.toList, Seq.empty))
+        }
+        val absent = lookup(0, Seq.fill(3)(Int.MinValue)).isEmpty
+        val expected = probed.indices.flatMap(t => probed(t).flatMap(b => refs(t).getOrElse(b.toList, Seq.empty))).distinct
+        val size = part.candidates(probes, mark, qi + 1, found)
+        tablesAgree && absent && found.take(size).toSeq == expected
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res.status)
+  }
+
+  test("two buckets sharing one fingerprint each return only their own members") {
+    // slots 0..4 in three buckets, every one with fingerprint 7
+    val built = BucketTable.build(Array(1, 2, 3, 4, 1, 2, 5, 6, 3, 4), Array.fill(5)(7L), 2)
+    assert(built.keys.toSeq == Seq(7L, 7L, 7L))
+    assert(members(built, 7L, Array(1, 2)) == Seq(0, 2))
+    assert(members(built, 7L, Array(3, 4)) == Seq(1, 4))
+    assert(members(built, 7L, Array(5, 6)) == Seq(3))
+    assert(members(built, 7L, Array(9, 9)).isEmpty)
+    assert(members(built, 8L, Array(1, 2)).isEmpty)
+    val direct = new BucketTable(2, Array(7L, 7L), Array(1, 2, 3, 4), Array(0, 2, 3), Array(0, 5, 3))
+    assert(members(direct, 7L, Array(1, 2)) == Seq(0, 5))
+    assert(members(direct, 7L, Array(3, 4)) == Seq(3))
+    assert(members(direct, 7L, Array(2, 1)).isEmpty)
   }
 
   test("longer probe sequences reach more candidates") {
@@ -81,6 +170,15 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("a query's answer and candidate count do not depend on the batch it runs in") {
+    val batch = mp.knn(queries, k)
+    queries.zip(batch).foreach { case (q, qr) =>
+      val alone = mp.knn(Array(q), k).head
+      assert(alone.candidates == qr.candidates)
+      assert(alone.neighbors.toSeq == qr.neighbors.toSeq)
+    }
+  }
+
   test("empty query batch") {
     assert(mp.knn(Array.empty, k).isEmpty)
   }
@@ -105,5 +203,69 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
 
   test("building over a point with a short vector fails, naming the point") {
     assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new MultiProbe(spark, _, partitions = 4, seed = 3))
+  }
+
+  test("building over empty data fails, saying the data is empty") {
+    assertRejectsEmpty(new MultiProbe(spark, _, partitions = 4, seed = 3))
+  }
+
+  test("an exact duplicate of the query's nearest point comes back at equal distance, in a stable order") {
+    val s = spark
+    import s.implicits._
+    val data = points.collect()
+    val q = data(17).vec.map(_ + 1e-3)
+    val nearest = data.minBy(p => Vec.dist(q, p.vec))
+    val dup = Point(999999L, nearest.vec.clone())
+    val e = new MultiProbe(spark, (data :+ dup).toSeq.toDS(), partitions = 4, seed = 3, probesPerTable = 300)
+    val first = e.knn(Array(q), k).head.neighbors.toSeq
+    val second = e.knn(Array(q), k).head.neighbors.toSeq
+    val byId = first.map(nb => nb.id -> nb.dist).toMap
+    assert(byId.contains(nearest.id) && byId.contains(dup.id), first)
+    assert(byId(nearest.id) == byId(dup.id))
+    assert(first.take(2).map(_.id).toSet == Set(nearest.id, dup.id))
+    assert(first == second)
+    e.unpersist()
+  }
+}
+
+object MultiProbeSpec {
+
+  /** The probing sequence as generated before the primitive heap: a
+    * List/PriorityQueue perturbation-set heap (Lv et al. 2007), one
+    * coordinate row per probe. */
+  def referenceProbes(tableLsh: BucketedLsh, q: Array[Double], maxProbes: Int): Seq[Seq[Int]] = {
+    val mB = tableLsh.family.m
+    val coords = tableLsh.coords(q)
+    val base = coords.map(x => math.floor(x).toInt)
+    val wQ = tableLsh.w
+    val z: Array[(Double, Int, Int)] = (0 until mB).flatMap { i =>
+      val frac = (coords(i) - base(i)) * wQ
+      Seq((frac, i, -1), (wQ - frac, i, +1))
+    }.sortBy(_._1).toArray
+    val out = mutable.ArrayBuffer[Seq[Int]](base.toSeq)
+    if (maxProbes <= 1 || z.isEmpty) return out.toSeq
+    case class PSet(score: Double, idxs: List[Int])
+    val heap = mutable.PriorityQueue.empty[PSet](Ordering.by((p: PSet) => -p.score))
+    heap.enqueue(PSet(z(0)._1 * z(0)._1, List(0)))
+    def valid(idxs: List[Int]): Boolean = {
+      val dims = idxs.map(j => z(j)._2)
+      dims.distinct.length == dims.length
+    }
+    while (out.length < maxProbes && heap.nonEmpty) {
+      val p = heap.dequeue()
+      if (valid(p.idxs)) {
+        val bucket = base.clone()
+        p.idxs.foreach { j => bucket(z(j)._2) += z(j)._3 }
+        out += bucket.toSeq
+      }
+      val jmax = p.idxs.head
+      if (jmax + 1 < z.length) {
+        val zn = z(jmax + 1)._1
+        val zo = z(jmax)._1
+        heap.enqueue(PSet(p.score - zo * zo + zn * zn, (jmax + 1) :: p.idxs.tail))
+        heap.enqueue(PSet(p.score + zn * zn, (jmax + 1) :: p.idxs))
+      }
+    }
+    out.toSeq
   }
 }

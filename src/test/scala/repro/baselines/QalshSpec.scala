@@ -130,4 +130,8 @@ class QalshSpec extends SparkSpec with TimeLimits {
   test("building over a point with a short vector fails, naming the point") {
     assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new Qalsh(spark, _, partitions = 4, seed = 3))
   }
+
+  test("building over empty data fails, saying the data is empty") {
+    assertRejectsEmpty(new Qalsh(spark, _, partitions = 4, seed = 3))
+  }
 }

@@ -205,4 +205,8 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
   test("building over a point with a short vector fails, naming the point") {
     rejectsPoint(Point(123457L, Array.fill(cfg.d - 1)(0.5)))
   }
+
+  test("building over empty data fails, saying the data is empty") {
+    assertRejectsEmpty(new RangeLsh(spark, _, params, usePmTree = true))
+  }
 }

@@ -4,7 +4,6 @@ import java.lang.{Long => JLong}
 import java.util.Arrays
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.core._
 
 /** One hash table of a Multi-Probe partition in flat arrays. Bucket b has
@@ -149,10 +148,8 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
 
 object MultiProbePart {
 
-  /** `points` in slot order, each checked (d finite coordinates) before it
-    * is hashed into one table per LSH. */
-  def of(points: Array[Point], lshs: Array[BucketedLsh], d: Int): MultiProbePart = {
-    val slots = Slots.of(points, d)
+  /** `points` in slot order, hashed into one table per LSH. */
+  def of(points: Array[Point], lshs: Array[BucketedLsh]): MultiProbePart = {
     val tables = lshs.map { lsh =>
       val mB = lsh.family.m
       val coords = new Array[Int](points.length * mB)
@@ -165,7 +162,7 @@ object MultiProbePart {
       }
       BucketTable.build(coords, fps, mB)
     }
-    new MultiProbePart(slots, tables)
+    new MultiProbePart(Slots.of(points), tables)
   }
 }
 
@@ -222,16 +219,12 @@ final class MultiProbe(
   private val bcLshs = sc.broadcast(lshs)
 
   /** One index per partition, kept live: the query's tasks probe the cached
-    * objects in place. */
+    * objects in place. Every vector is checked (d finite coordinates)
+    * before it is hashed. */
   val index: RDD[MultiProbePart] = {
     // locals only inside the lambda: field access would capture `this`
     val bl = bcLshs
-    val dd = d
-    points
-      .repartition(partitions)
-      .rdd
-      .mapPartitions(it => Iterator.single(MultiProbePart.of(it.toArray, bl.value, dd)))
-      .persist(StorageLevel.MEMORY_ONLY)
+    Points.indexed(points.repartition(partitions).rdd, d)(MultiProbePart.of(_, bl.value))
   }
 
   val n: Long = index.map(_.size.toLong).reduce(_ + _)

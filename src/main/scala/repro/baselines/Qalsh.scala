@@ -2,7 +2,6 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
 
@@ -14,11 +13,6 @@ import scala.collection.mutable.ArrayBuffer
   * sorted copy is kept.
   */
 final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: Int) extends Serializable {
-
-  /** Items whose `proj` holds the K hash values. */
-  def this(items: Array[IndexedPoint], k: Int) =
-    this(Slots.of(items.map(p => Point(p.id, p.vec)), if (items.isEmpty) 0 else items(0).vec.length),
-      items.map(_.proj), k)
 
   /** sortedIdx(i) = slots ordered by hash value i; vals(i) aligned. The
     * lambdas read a local copy: reading `hashes` would keep it as a field. */
@@ -121,17 +115,10 @@ final class Qalsh(
     // locals only inside the lambda: field access would capture `this`
     val kk = numHashes
     val bf = bcFamily
-    val dd = d
-    points
-      .repartition(partitions)
-      .rdd
-      .mapPartitions { it =>
-        val f = bf.value
-        val pts = it.toArray
-        val slots = Slots.of(pts, dd)
-        Iterator.single(new QalshPart(slots, pts.map(p => f.project(p.vec)), kk))
-      }
-      .persist(StorageLevel.MEMORY_ONLY)
+    Points.indexed(points.repartition(partitions).rdd, d) { pts =>
+      val f = bf.value
+      new QalshPart(Slots.of(pts), pts.map(p => f.project(p.vec)), kk)
+    }
   }
 
   val n: Long = index.map(_.size.toLong).reduce(_ + _)

@@ -1,11 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import scala.collection.mutable
 
 /** Exact kNN over the full dataset — the R* of Eqs. 11–12 and the engine
-  * behind the LScan baseline. One Spark action per query batch: each
-  * partition keeps a size-k max-heap per query, the driver merges.
+  * behind the LScan baseline. One Spark action per query batch, the exact
+  * probe: each partition verifies every one of its points against every
+  * query and ships its top-k (`TopK.of`), and the driver merges them
+  * (`TopK.gather`).
   */
 object GroundTruth {
 
@@ -14,38 +15,17 @@ object GroundTruth {
       points: Dataset[Point],
       queries: Array[Array[Double]],
       k: Int): Array[Array[Neighbor]] = {
-    import spark.implicits._
     if (queries.isEmpty) return Array.empty
     val bcQ = spark.sparkContext.broadcast(queries)
-    val partial: Array[(Int, Long, Double)] = points
-      .mapPartitions { it =>
-        val qs = bcQ.value
-        // max-heap by distance: head is the current worst of the best k
-        val heaps = Array.fill(qs.length)(
-          mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1)))
-        it.foreach { p =>
-          var qi = 0
-          while (qi < qs.length) {
-            val dd = Vec.dist(qs(qi), p.vec)
-            val h = heaps(qi)
-            if (h.size < k) h.enqueue((dd, p.id))
-            else if (dd < h.head._1) { h.dequeue(); h.enqueue((dd, p.id)) }
-            qi += 1
-          }
-        }
-        heaps.iterator.zipWithIndex.flatMap { case (h, qi) =>
-          h.iterator.map(e => (qi, e._2, e._1))
-        }
+    val merged = TopK.gather(points.rdd.glom(), k) { part =>
+      val ids = part.map(_.id)
+      // no radius: the within-c·r count is unused
+      bcQ.value.iterator.zipWithIndex.map { case (q, qi) =>
+        qi -> TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
       }
-      .collect()
+    }
     bcQ.destroy()
-    val byQ = partial.groupBy(_._1)
-    queries.indices.map { qi =>
-      byQ.getOrElse(qi, Array.empty[(Int, Long, Double)])
-        .sortBy(_._3)
-        .take(k)
-        .map(e => Neighbor(e._2, e._3))
-    }.toArray
+    queries.indices.map(qi => merged.getOrElse(qi, TopK.empty).neighbors).toArray
   }
 }
 

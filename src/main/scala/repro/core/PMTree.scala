@@ -33,7 +33,8 @@ case class PMNodeSummary(
   * overflow with max-distance promotion and nearest-center partition.
   * Covering radii are upper bounds on the distance to every descendant
   * point, so pruning stays correct after splits. The tree is built once,
-  * by `PMTree.build`, which then renumbers the slots in leaf order.
+  * by `PMTree.build`, on the projections alone; its payload is then filled
+  * once, in leaf order.
   *
   * `distCount` counts query-time distance computations in the projected
   * space (the quantity modeled in Table 2).
@@ -58,7 +59,9 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     val routes = new ArrayBuffer[RoutingEntry]()
   }
 
-  private var pts: Slots = Slots.of(Array.empty[IndexedPoint])
+  /** The payload; while the tree is built, the projections alone, in input
+    * order. */
+  private var pts: Slots = Slots.of(Array.empty[Point])
   /** Leaf entry o's pivot distances ||p_i, o'|| at o·s + i. */
   private var pivotDists: Array[Double] = Array.emptyDoubleArray
   /** Leaf entry o's distance to the center of the routing entry above it. */
@@ -75,18 +78,26 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
 
   def resetDistCount(): Unit = distCount = 0L
 
-  /** Indexes `points`: inserts every slot in order, tightens the covering
-    * radii, and renumbers the slots in leaf order. */
-  private def load(points: Slots): Unit = {
-    require(points.size == 0 || points.m == pivots(0).length,
-      s"points have ${points.m} projected coordinates, pivots ${pivots(0).length}")
-    pts = points
-    pivotDists = new Array[Double](points.size * s)
-    parentDists = new Array[Double](points.size)
+  /** Indexes `points`, projected to `proj` (m per point, as the pivots):
+    * inserts every point in order and tightens the covering radii, all on
+    * the projections, then fills the payload in leaf order. */
+  private def load(points: Array[Point], proj: Array[Double]): Unit = {
+    val m = if (points.isEmpty) 0 else pivots(0).length
+    require(proj.length == points.length * m,
+      s"${points.length} points with pivots of $m coordinates need ${points.length * m} projected coordinates, got ${proj.length}")
+    pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
+    pivotDists = new Array[Double](points.length * s)
+    parentDists = new Array[Double](points.length)
     var slot = 0
-    while (slot < points.size) { insert(slot); slot += 1 }
+    while (slot < points.length) { insert(slot); slot += 1 }
     tighten()
-    renumber()
+    val ls = leaves
+    val order = ls.flatMap(_.slots).toArray
+    pts = Slots.of(points, proj, m, order)
+    pivotDists = Slots.gather(pivotDists, s, order)
+    parentDists = Slots.gather(parentDists, 1, order)
+    var next = 0
+    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
   }
 
   /** Insert one slot (its projected coordinates drive the tree). */
@@ -356,18 +367,6 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     out
   }
 
-  /** Renumbers the slots in leaf order, so that each leaf's points are
-    * adjacent in the payload arrays. */
-  private def renumber(): Unit = {
-    val ls = leaves
-    val order = ls.flatMap(_.slots).toArray
-    pts = pts.permute(order)
-    pivotDists = Slots.gather(pivotDists, s, order)
-    parentDists = Slots.gather(parentDists, 1, order)
-    var next = 0
-    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
-  }
-
   /** All stored items, leaf by leaf (test support). */
   def items: ArrayBuffer[IndexedPoint] = leaves.flatMap(_.slots.map(pts.point))
 
@@ -422,12 +421,20 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
 
 object PMTree {
 
-  /** Build a PM-tree by inserting every item in order, then tighten the
-    * radii and renumber the slots in leaf order. */
-  def build(items: Array[IndexedPoint], pivots: Array[Array[Double]], capacity: Int = 16): PMTree = {
+  /** Build a PM-tree over `points`, projected to `proj` (as many
+    * coordinates per point as each pivot has, in `points` order), by
+    * inserting every point in order; then tighten the radii and fill the
+    * payload in leaf order. */
+  def build(points: Array[Point], proj: Array[Double], pivots: Array[Array[Double]], capacity: Int): PMTree = {
     val t = new PMTree(pivots, capacity)
-    t.load(Slots.of(items))
+    t.load(points, proj)
     t
+  }
+
+  /** `build` over items that carry their projections, each row checked. */
+  def build(items: Array[IndexedPoint], pivots: Array[Array[Double]], capacity: Int = 16): PMTree = {
+    val (points, proj, _) = IndexedPoint.rows(items)
+    build(points, proj, pivots, capacity)
   }
 
   /** Farthest-point pivot selection (§4.1: pivots chosen to shrink the

@@ -22,7 +22,8 @@ case class RNodeSummary(nEntries: Int, lo: Array[Double], hi: Array[Double], isR
   * `nodeAccesses` counts visited nodes.
   *
   * Leaves hold slots of one flat payload (`Slots`). The tree is built once,
-  * by `RTree.build`, which then renumbers the slots in leaf order.
+  * by `RTree.build`, on the projections alone; its payload is then filled
+  * once, in leaf order.
   */
 final class RTree(val capacity: Int) extends Serializable {
   require(capacity >= 4, s"capacity must be >= 4, got $capacity")
@@ -55,7 +56,9 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  private var pts: Slots = Slots.of(Array.empty[IndexedPoint])
+  /** The payload; while the tree is built, the projections alone, in input
+    * order. */
+  private var pts: Slots = Slots.of(Array.empty[Point])
   private var root: Node = new Node(true)
 
   def size: Int = pts.size
@@ -85,17 +88,20 @@ final class RTree(val capacity: Int) extends Serializable {
     s
   }
 
-  /** Indexes `points`: inserts every slot in order, then renumbers the
-    * slots in leaf order. */
-  private def load(points: Slots): Unit = {
-    pts = points
+  /** Indexes `points`, projected to `proj` (m per point): inserts every
+    * point in order, on the projections, then fills the payload in leaf
+    * order. */
+  private def load(points: Array[Point], proj: Array[Double], m: Int): Unit = {
+    require(proj.length == points.length * m,
+      s"${points.length} points of $m projected coordinates need ${points.length * m}, got ${proj.length}")
+    pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
     var slot = 0
-    while (slot < points.size) { insert(slot); slot += 1 }
+    while (slot < points.length) { insert(slot); slot += 1 }
     val leaves = new ArrayBuffer[Node]()
     def rec(n: Node): Unit = if (n.isLeaf) leaves += n else n.children.foreach(rec)
     rec(root)
     val order = leaves.flatMap(_.slots).toArray
-    pts = pts.permute(order)
+    pts = Slots.of(points, proj, m, order)
     var next = 0
     leaves.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
   }
@@ -377,11 +383,18 @@ final class RTree(val capacity: Int) extends Serializable {
 
 object RTree {
 
-  /** Build an R-tree by inserting every item in order (Guttman
-    * construction), then renumber the slots in leaf order. */
-  def build(items: Array[IndexedPoint], capacity: Int = 16): RTree = {
+  /** Build an R-tree over `points`, projected to `proj` (m coordinates per
+    * point, in `points` order), by inserting every point in order (Guttman
+    * construction); then fill the payload in leaf order. */
+  def build(points: Array[Point], proj: Array[Double], m: Int, capacity: Int): RTree = {
     val t = new RTree(capacity)
-    t.load(Slots.of(items))
+    t.load(points, proj, m)
     t
+  }
+
+  /** `build` over items that carry their projections, each row checked. */
+  def build(items: Array[IndexedPoint], capacity: Int = 16): RTree = {
+    val (points, proj, m) = IndexedPoint.rows(items)
+    build(points, proj, m, capacity)
   }
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 
 /** PM-LSH parameters: the §6.1 defaults, and the three settings callers
   * choose. */
@@ -23,13 +22,15 @@ case class LshParams(
 /** The PM-LSH framework (§4) on Spark — and, with `usePmTree = false`, the
   * R-LSH ablation of §6.1 (same engine, R-tree partition indexes).
   *
-  * Build: project every point with the broadcast 2-stable family,
-  * repartition, and build one PM-tree (or R-tree) per partition inside
-  * `mapPartitions`, over the partition's points in flat slot-addressed
-  * arrays; the resulting `RDD[PartIndex]` is persisted `MEMORY_ONLY`, so
-  * the indexes stay live objects that no round has to decode. Pivots are
-  * selected once on the driver from a sample and broadcast so all
-  * partitions share the same pivot space.
+  * Build: repartition the points, take the pivot and r_min sample from the
+  * repartitioned rows, then build one PM-tree (or R-tree) per partition
+  * from the same rows (`Points.indexed`): each partition projects its
+  * points with the broadcast 2-stable family into one flat array, builds
+  * the tree on the projections, and copies every vector once, into the
+  * tree's leaf-ordered payload. The resulting `RDD[PartIndex]` is
+  * persisted `MEMORY_ONLY`, so the indexes stay live objects that no round
+  * has to decode. Pivots are selected once on the driver from the sample
+  * and broadcast so all partitions share the same pivot space.
   *
   * Query (Algorithm 2, batched): every radius round is one Spark action
   * that runs the range query `range(q', t·r)` of all still-active queries
@@ -51,7 +52,6 @@ final class RangeLsh(
     val params: LshParams,
     val usePmTree: Boolean) {
 
-  import spark.implicits._
   private val sc = spark.sparkContext
 
   val d: Int = Points.dimension(points)
@@ -76,29 +76,17 @@ final class RangeLsh(
   val alpha2: Double = if (params.paperBeta) 0.1405 else alpha2Eq10
   val beta: Double = if (params.paperBeta) 0.2809 else betaEq10
 
-  private val projected: Dataset[IndexedPoint] = {
-    // local copy: a lambda referencing the field would capture `this`
-    // (which holds the SparkSession) and fail task serialization
-    val bf = bcFamily
-    val dd = d
-    points
-      .repartition(params.partitions)
-      .mapPartitions { it =>
-        val f = bf.value
-        it.map { p =>
-          Slots.requireRow(p.id, "vector", p.vec, dd)
-          IndexedPoint(p.id, f.project(p.vec), p.vec)
-        }
-      }
-      .persist()
-  }
+  /** The points, repartitioned once: the sample and every partition index
+    * read the same shuffle output. */
+  private val rows: RDD[Point] = points.repartition(params.partitions).rdd
 
-  /** Sample used for pivots and for the empirical distance CDF. */
-  private val sample: Array[IndexedPoint] =
-    projected.limit(math.max(params.pivotSample, params.distSample)).collect()
+  /** Sample used for pivots and for the empirical distance CDF, checked
+    * like every indexed point before it is projected. */
+  private val sample: Array[Point] = rows.take(math.max(params.pivotSample, params.distSample))
+  sample.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
 
   val pivots: Array[Array[Double]] =
-    PMTree.selectPivots(sample.take(params.pivotSample).map(_.proj), params.s)
+    PMTree.selectPivots(sample.take(params.pivotSample).map(p => family.project(p.vec)), params.s)
   private val bcPivots = sc.broadcast(pivots)
 
   /** Empirical original-space distance distribution F (Eq. 4). */
@@ -108,24 +96,26 @@ final class RangeLsh(
   /** One index per partition, kept live: a round's tasks probe the cached
     * objects in place. */
   val indexes: RDD[PartIndex] = {
+    // local copies: a lambda referencing a field would capture `this`
+    // (which holds the SparkSession) and fail task serialization
     val cap = params.capacity
     val pm = usePmTree
+    val bf = bcFamily
     val bp = bcPivots
-    projected.rdd
-      .mapPartitions { it =>
-        val arr = it.toArray
-        val idx: PartIndex =
-          if (pm) new PMTreePart(PMTree.build(arr, bp.value, cap))
-          else new RTreePart(RTree.build(arr, cap))
-        Iterator.single(idx)
+    Points.indexed[PartIndex](rows, d) { pts =>
+      val f = bf.value
+      val proj = pts.flatMap { p =>
+        val pr = f.project(p.vec)
+        Slots.requireRow(p.id, "projection", pr, f.m) // huge coordinates can overflow to ∞
+        pr
       }
-      .persist(StorageLevel.MEMORY_ONLY)
+      if (pm) new PMTreePart(PMTree.build(pts, proj, bp.value, cap))
+      else new RTreePart(RTree.build(pts, proj, f.m, cap))
+    }
   }
 
   /** Dataset cardinality, computed while materializing the index. */
   val n: Long = indexes.map(_.size.toLong).reduce(_ + _)
-
-  projected.unpersist()
 
   /** βn + k — the candidate budget of Algorithms 1/2. */
   def betaNk(k: Int): Long = math.ceil(beta * n).toLong + k

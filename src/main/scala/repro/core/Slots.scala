@@ -5,8 +5,9 @@ import java.util.Arrays
 /** The points of one partition index in flat arrays addressed by slot:
   * slot s holds id `ids(s)`, projected coordinates `proj(s·m until s·m + m)`
   * and original vector `vecs(s·d until s·d + d)`. The trees keep slots in
-  * their leaves and number them in leaf order after the build, so the
-  * points of one leaf sit next to each other.
+  * their leaves; a tree computes its leaf order from the projections alone
+  * and then fills its payload once, in that order, so the points of one
+  * leaf sit next to each other.
   */
 final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array[Double],
                   val m: Int, val d: Int) extends Serializable {
@@ -36,43 +37,32 @@ final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array
     }
     TopK.of(out, dists, k, cr)
   }
-
-  /** The same points, slot i holding what slot `order(i)` holds here. */
-  def permute(order: Array[Int]): Slots =
-    new Slots(order.map(ids(_)), Slots.gather(proj, m, order), Slots.gather(vecs, d, order), m, d)
 }
 
 object Slots {
 
-  /** `items` in slot order. Every item must have as many projected and
-    * original coordinates as the first, all finite: a short row would shift
-    * every later one. */
-  def of(items: Array[IndexedPoint]): Slots =
-    if (items.isEmpty) of(items, 0, 0) else of(items, items(0).proj.length, items(0).vec.length)
-
-  /** `points` in slot order, without projections (m = 0). Every vector must
-    * have d coordinates, all finite. */
-  def of(points: Array[Point], d: Int): Slots =
-    of(points.map(p => IndexedPoint(p.id, Array.emptyDoubleArray, p.vec)), 0, d)
-
-  private def of(items: Array[IndexedPoint], m: Int, d: Int): Slots = {
-    val n = items.length
+  /** The payload of an index over `points`, whose projected coordinates are
+    * `proj`, m per point in `points` order: slot s holds point `order(s)`,
+    * and each vector is copied once, straight from its row. Callers check
+    * every vector (d finite coordinates) before they project it. */
+  def of(points: Array[Point], proj: Array[Double], m: Int, order: Array[Int]): Slots = {
+    val n = order.length
+    val d = if (n == 0) 0 else points(0).vec.length
     require(n.toLong * math.max(m, d) <= Int.MaxValue, s"$n points of dimension ${math.max(m, d)} overflow one array")
     val ids = new Array[Long](n)
-    val proj = new Array[Double](n * m)
     val vecs = new Array[Double](n * d)
     var s = 0
     while (s < n) {
-      val p = items(s)
-      requireRow(p.id, "projection", p.proj, m)
-      requireRow(p.id, "vector", p.vec, d)
+      val p = points(order(s))
       ids(s) = p.id
-      System.arraycopy(p.proj, 0, proj, s * m, m)
       System.arraycopy(p.vec, 0, vecs, s * d, d)
       s += 1
     }
-    new Slots(ids, proj, vecs, m, d)
+    new Slots(ids, gather(proj, m, order), vecs, m, d)
   }
+
+  /** `points` in input order, without projections (m = 0). */
+  def of(points: Array[Point]): Slots = of(points, Array.emptyDoubleArray, 0, Array.range(0, points.length))
 
   /** Rejects a row of the wrong length or with a NaN/∞ entry, naming the point. */
   def requireRow(id: Long, what: String, row: Array[Double], len: Int): Unit = {

@@ -36,16 +36,6 @@ object Vec {
   /** ||a − row|| for the row of `a.length` values starting at `flat(off)`. */
   def dist(a: Array[Double], flat: Array[Double], off: Int): Double = math.sqrt(sqDist(a, flat, off))
 
-  /** Euclidean norm ||a||. */
-  def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
-
-  /** a − b as a new array. */
-  def minus(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val r = new Array[Double](a.length); var i = 0
-    while (i < a.length) { r(i) = a(i) - b(i); i += 1 }
-    r
-  }
-
   /** Rejects query batches with a NaN or ∞ coordinate. Such a query fails
     * every `dist ≤ r` test, so a loop that grows r until enough points fall
     * inside would never end. */

@@ -50,25 +50,17 @@ object Tables {
   def table2(spark: SparkSession, scale: Double = 1.0, m: Int = 15,
              capacity: Int = 16, s: Int = 5, seed: Long = 42): Seq[Table2Row] = {
     configs(scale).map { cfg =>
-      val points = HighDim.generate(spark, cfg).persist()
+      val points = HighDim.generate(spark, cfg).collect()
       val fam = new ProjectionFamily(cfg.d, m, seed)
-      val bcFam = spark.sparkContext.broadcast(fam)
-      import spark.implicits._
-      val projected: Array[IndexedPoint] = points
-        .map(p => IndexedPoint(p.id, bcFam.value.project(p.vec), Array.empty[Double]))
-        .collect()
-      points.unpersist()
+      val proj = points.map(p => fam.project(p.vec))
 
-      val projDists = EmpiricalDistances.fromSample(projected.take(600).map(_.proj), seed = seed)
+      val projDists = EmpiricalDistances.fromSample(proj.take(600), seed = seed)
       val rq = projDists.quantile(0.08)
 
-      val pivots = PMTree.selectPivots(projected.take(500).map(_.proj), s)
-      val pm = PMTree.build(projected, pivots, capacity)
-      val rt = RTree.build(projected, capacity)
-
-      val gs = CostModel.cdfPerDim(projected.map(_.proj))
-      val ccPm = CostModel.pmTreeCost(pm.nodeSummaries, projDists, rq)
-      val ccR = CostModel.rTreeCost(rt.nodeSummaries, gs, rq)
+      val pivots = PMTree.selectPivots(proj.take(500), s)
+      val flat = proj.flatten
+      val ccPm = CostModel.pmTreeCost(PMTree.build(points, flat, pivots, capacity).nodeSummaries, projDists, rq)
+      val ccR = CostModel.rTreeCost(RTree.build(points, flat, m, capacity).nodeSummaries, CostModel.cdfPerDim(proj), rq)
       val red = 100.0 * (1.0 - ccPm / math.max(ccR, 1e-9))
       val (ppm, pr, pred) = paperTable2(cfg.name)
       Table2Row(cfg.name, ccPm, ccR, red, ppm, pr, pred)

@@ -107,7 +107,7 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     } yield (pts.map(_.toArray).toArray, qs.map(_.toArray), seed, w)
     val prop = Prop.forAll(gen) { case (vecs, qs, seed, w) =>
       val lshs = Array.tabulate(2)(t => new BucketedLsh(new ProjectionFamily(d, 3, seed + t), w, seed + 10 + t))
-      val part = MultiProbePart.of(vecs.zipWithIndex.map { case (v, j) => Point(j.toLong, v) }, lshs, d)
+      val part = MultiProbePart.of(vecs.zipWithIndex.map { case (v, j) => Point(j.toLong, v) }, lshs)
       val refs: Array[Map[List[Int], Seq[Int]]] =
         lshs.map(lsh => vecs.indices.groupBy(j => lsh.buckets(vecs(j)).toList))
       def lookup(t: Int, b: Seq[Int]): Seq[Int] =
@@ -187,6 +187,19 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     val e = mp
     val q = queries(0).clone(); q(3) = Double.NaN
     failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
+  }
+
+  test("with more partitions than points, the index builds and answers with data ids at true distances") {
+    val tiny = HighDim.generate(spark, HighDim.testConfig(n = 5, d = 24, seed = 41))
+    val e = new MultiProbe(spark, tiny, partitions = 8, seed = 3, probesPerTable = 300)
+    val sizes = e.index.map(_.size).collect()
+    assert(e.n == 5 && sizes.sum == 5 && sizes.count(_ == 0) >= 3, sizes.toSeq)
+    val data = tiny.collect().map(p => p.id -> p.vec).toMap
+    queries.zip(e.knn(queries, 5)).foreach { case (q, qr) =>
+      assert(qr.neighbors.map(_.id).distinct.length == qr.neighbors.length)
+      qr.neighbors.foreach(nb => assert(nb.dist == Vec.dist(q, data(nb.id))))
+    }
+    e.unpersist()
   }
 
   test("unpersist drops the cached index") {

@@ -40,12 +40,12 @@ class QalshSpec extends SparkSpec with TimeLimits {
   }
 
   test("QalshPart window search counts collisions correctly") {
-    val items = Array.tabulate(20)(i => IndexedPoint(i.toLong, Array(i.toDouble, -i.toDouble), Array.empty))
-    val part = new QalshPart(items, 2)
+    val part = new QalshPart(Slots.of(Array.tabulate(20)(i => Point(i.toLong, Array.empty))),
+      Array.tabulate(20)(i => Array(i.toDouble, -i.toDouble)), 2)
     // query hash (10, -10): with w*r/2 = 2.5, hashes within +-2.5 on both
     // dims are items 8..12 (both dims collide simultaneously here)
     val cands = part.collisionCandidates(Array(10.0, -10.0), 1.0, 5.0, 2)
-    assert(cands.map(items(_).id).toSet == Set(8L, 9L, 10L, 11L, 12L))
+    assert(cands.map(part.points.ids(_)).toSet == Set(8L, 9L, 10L, 11L, 12L))
     // threshold 1 with a single colliding dim widens nothing here (dims mirror)
     val cands1 = part.collisionCandidates(Array(10.0, -10.0), 1.0, 5.0, 1)
     assert(cands1.length >= cands.length)
@@ -113,6 +113,16 @@ class QalshSpec extends SparkSpec with TimeLimits {
       }
     }
     assert(grew > 0, "no case where the candidate set was non-empty and grew")
+  }
+
+  test("with more partitions than points, k = n returns the exact answer") {
+    val tiny = HighDim.generate(spark, HighDim.testConfig(n = 5, d = 24, seed = 41))
+    val e = new Qalsh(spark, tiny, partitions = 8, seed = 3)
+    val sizes = e.index.map(_.size).collect()
+    assert(e.n == 5 && sizes.sum == 5 && sizes.count(_ == 0) >= 3, sizes.toSeq)
+    val want = GroundTruth.knnBatch(spark, tiny, queries, 5).map(_.toSeq).toSeq
+    assert(e.knn(queries, 5).map(_.neighbors.toSeq).toSeq == want)
+    e.unpersist()
   }
 
   test("unpersist drops the cached index") {

@@ -86,8 +86,10 @@ class PartIndexSpec extends AnyFunSuite {
     Seq(ok.copy(id = 7L, vec = Array(1.0, 2.0)), ok.copy(id = 7L, proj = Array(0.0)),
         ok.copy(id = 7L, vec = Array(1.0, Double.NaN, 3.0)),
         ok.copy(id = 7L, proj = Array(Double.PositiveInfinity, 0.0))).foreach { bad =>
-      val e = intercept[IllegalArgumentException](Slots.of(Array(ok, bad)))
-      assert(e.getMessage.contains("point 7"), e.getMessage)
+      Seq[Array[IndexedPoint] => Any](PMTree.build(_, Array(Array(0.0, 0.0)), 4), RTree.build(_, 4)).foreach { build =>
+        val e = intercept[IllegalArgumentException](build(Array(ok, bad)))
+        assert(e.getMessage.contains("point 7"), e.getMessage)
+      }
     }
   }
 }

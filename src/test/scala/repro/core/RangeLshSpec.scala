@@ -195,6 +195,32 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     assert(!spark.sparkContext.getPersistentRDDs.contains(e.indexes.id))
   }
 
+  test("with more partitions than points, PM-LSH and R-LSH at k = n return the exact answer") {
+    val tiny = HighDim.generate(spark, HighDim.testConfig(n = 5, d = 24, seed = 41))
+    val want = GroundTruth.knnBatch(spark, tiny, queries, 5).map(_.toSeq).toSeq
+    Seq(true, false).foreach { pm =>
+      val e = new RangeLsh(spark, tiny, params.copy(partitions = 8), usePmTree = pm)
+      val sizes = e.indexes.map(_.size).collect()
+      assert(e.n == 5 && sizes.sum == 5 && sizes.count(_ == 0) >= 3, sizes.toSeq)
+      assert(e.knn(queries, 5).map(_.neighbors.toSeq).toSeq == want, s"usePmTree = $pm")
+      e.unpersist()
+    }
+  }
+
+  test("a point duplicated under a new id: a query at that point gets both ids first, at distance 0") {
+    val s = spark
+    import s.implicits._
+    val data = points.collect()
+    val twin = data(17).copy(id = 10000L)
+    val withTwin = (data :+ twin).toSeq.toDS()
+    Seq(true, false).foreach { pm =>
+      val e = new RangeLsh(spark, withTwin, params, usePmTree = pm)
+      val first2 = e.knn(Array(twin.vec), k).head.neighbors.take(2)
+      assert(first2.map(_.id).toSet == Set(data(17).id, twin.id) && first2.forall(_.dist == 0.0), first2.toSeq)
+      e.unpersist()
+    }
+  }
+
   private def rejectsPoint(bad: Point): Unit =
     assertBuildRejects(points, bad)(new RangeLsh(spark, _, params, usePmTree = true))
 

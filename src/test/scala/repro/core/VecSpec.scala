@@ -19,13 +19,7 @@ class VecSpec extends AnyFunSuite {
     assert(Vec.dist(Array(0.0, 0.0), Array(3.0, 4.0)) == 5.0)
   }
 
-  test("norm equals dist from origin") {
-    val v = Array(2.0, -1.0, 2.0)
-    assert(Vec.norm(v) == 3.0)
-  }
-
-  test("minus and mean") {
-    assert(Vec.minus(Array(3.0, 4.0), Array(1.0, 1.0)).toSeq == Seq(2.0, 3.0))
+  test("mean is element-wise") {
     assert(Vec.mean(Seq(Array(0.0, 2.0), Array(2.0, 0.0))).toSeq == Seq(1.0, 1.0))
   }
 

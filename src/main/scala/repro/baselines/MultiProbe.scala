@@ -2,6 +2,7 @@ package repro.baselines
 
 import java.lang.{Long => JLong}
 import java.util.Arrays
+import java.util.stream.IntStream
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
@@ -9,25 +10,36 @@ import repro.core._
 /** One hash table of a Multi-Probe partition in flat arrays. Bucket b has
   * the fingerprint `keys(b)`, the exact mB coordinates
   * `coords(b·mB until b·mB + mB)` and the member slots
-  * `members(offsets(b) until offsets(b + 1))`, ascending. Buckets are sorted
-  * by fingerprint, so buckets sharing one sit next to each other and are told
-  * apart by their coordinates.
+  * `members(offsets(b) until offsets(b + 1))`, ascending. Buckets that share
+  * a fingerprint are told apart by their coordinates.
   */
 final class BucketTable(val mB: Int, val keys: Array[Long], val coords: Array[Int],
                         val offsets: Array[Int], val members: Array[Int]) extends Serializable {
 
+  /** Open addressing over the buckets, at most half full: each entry is a
+    * bucket number or −1, and bucket b sits in the first free entry at or
+    * after `BucketTable.mix(keys(b))`, wrapping around. */
+  private val index: Array[Int] = {
+    val slots = new Array[Int](Integer.highestOneBit(math.max(1, 2 * keys.length - 1)) << 1)
+    Arrays.fill(slots, -1)
+    var b = 0
+    while (b < keys.length) {
+      var h = BucketTable.mix(keys(b)) & (slots.length - 1)
+      while (slots(h) >= 0) h = (h + 1) & (slots.length - 1)
+      slots(h) = b
+      b += 1
+    }
+    slots
+  }
+
   /** The bucket with fingerprint `fp` and coordinates
     * `probe(off until off + mB)`, or −1 if no point hashed there. */
   def find(fp: Long, probe: Array[Int], off: Int): Int = {
-    var lo = 0
-    var hi = keys.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (keys(mid) < fp) lo = mid + 1 else hi = mid
-    }
-    while (lo < keys.length && keys(lo) == fp) {
-      if (BucketTable.compare(coords, lo * mB, probe, off, mB) == 0) return lo
-      lo += 1
+    var h = BucketTable.mix(fp) & (index.length - 1)
+    while (index(h) >= 0) {
+      val b = index(h)
+      if (keys(b) == fp && BucketTable.compare(coords, b * mB, probe, off, mB) == 0) return b
+      h = (h + 1) & (index.length - 1)
     }
     -1
   }
@@ -46,6 +58,16 @@ object BucketTable {
     h
   }
 
+  /** The index entry a fingerprint starts at: its bits mixed by the
+    * MurmurHash3 64-bit finalizer, so that the low bits depend on every
+    * coordinate. */
+  private def mix(fp: Long): Int = {
+    var h = fp
+    h = (h ^ (h >>> 33)) * 0xFF51AFD7ED558CCDL
+    h = (h ^ (h >>> 33)) * 0xC4CEB9FE1A85EC53L
+    (h ^ (h >>> 33)).toInt
+  }
+
   /** The table over slots 0 until n, slot j in the bucket with coordinates
     * `coords(j·mB until j·mB + mB)` and fingerprint `fps(j)`. */
   def build(coords: Array[Int], fps: Array[Long], mB: Int): BucketTable = {
@@ -55,7 +77,7 @@ object BucketTable {
       if (c != 0) c else compare(coords, a * mB, coords, b * mB, mB)
     }
     // stable, so each bucket's members stay in ascending slot order
-    val order = stableOrder(n, cmp)
+    val order = StableOrder(n, cmp(_, _))
     val starts = new Array[Int](n + 1)
     var buckets = 0
     var i = 0
@@ -82,30 +104,26 @@ object BucketTable {
     while (i < len && a(ao + i) == b(bo + i)) i += 1
     if (i == len) 0 else Integer.compare(a(ao + i), b(bo + i))
   }
+}
 
-  /** 0 until n in the order of `cmp`, equal elements in ascending order: a
-    * bottom-up merge sort. */
-  private def stableOrder(n: Int, cmp: (Int, Int) => Int): Array[Int] = {
-    var src = Array.range(0, n)
-    var dst = new Array[Int](n)
-    var width = 1
-    while (width < n) {
-      var lo = 0
-      while (lo < n) {
-        val mid = math.min(lo + width, n)
-        val hi = math.min(lo + 2 * width, n)
-        var i = lo; var j = mid; var o = lo
-        while (o < hi) {
-          if (j == hi || (i < mid && cmp(src(i), src(j)) <= 0)) { dst(o) = src(i); i += 1 }
-          else { dst(o) = src(j); j += 1 }
-          o += 1
-        }
-        lo = hi
-      }
-      val t = src; src = dst; dst = t
-      width *= 2
+/** One query's probing sequence in one table, as the tasks receive it: the
+  * home bucket's mB coordinates, the 2·mB boundary entries in ascending
+  * distance from the query (`zx`; entry 2i is δ = −1 on dimension i, entry
+  * 2i + 1 is δ = +1), and each probe's perturbation set as a bitmask over
+  * those sorted entries, the home bucket (mask 0) first.
+  */
+final class Probes(val home: Array[Int], val zx: Array[Int], val masks: Array[Long]) extends Serializable {
+  def size: Int = masks.length
+
+  /** Writes probe p's mB coordinates to `out(off until off + mB)`. */
+  def decode(p: Int, out: Array[Int], off: Int): Unit = {
+    System.arraycopy(home, 0, out, off, home.length)
+    var rest = masks(p)
+    while (rest != 0) {
+      val e = zx(JLong.numberOfTrailingZeros(rest))
+      out(off + e / 2) += (if (e % 2 == 0) -1 else 1)
+      rest &= rest - 1
     }
-    src
   }
 }
 
@@ -116,20 +134,21 @@ object BucketTable {
 final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) extends Serializable {
   def size: Int = points.size
 
-  /** Writes to `out` the slots in the buckets `probes(t)` of every table t
-    * (mB coordinates per probe), each once, in first-probed order, and
-    * returns how many. A slot s counts as seen once `mark(s) == stamp`, so
-    * the caller passes a fresh stamp per query and owns `mark`: the index
-    * stays read-only. */
-  def candidates(probes: Array[Array[Int]], mark: Array[Int], stamp: Int, out: Array[Int]): Int = {
+  /** Writes to `out` the slots in the buckets `probes(t)` of every table t,
+    * each once, in first-probed order, and returns how many. A slot s counts
+    * as seen once `mark(s) == stamp`, so the caller passes a fresh stamp per
+    * query and owns `mark`: the index stays read-only. */
+  def candidates(probes: Array[Probes], mark: Array[Int], stamp: Int, out: Array[Int]): Int = {
     var size = 0
     var t = 0
     while (t < tables.length) {
       val table = tables(t)
       val ps = probes(t)
-      var off = 0
-      while (off < ps.length) {
-        val b = table.find(BucketTable.fingerprint(ps, off, table.mB), ps, off)
+      val bucket = new Array[Int](table.mB)
+      var p = 0
+      while (p < ps.size) {
+        ps.decode(p, bucket, 0)
+        val b = table.find(BucketTable.fingerprint(bucket, 0, table.mB), bucket, 0)
         if (b >= 0) {
           var i = table.offsets(b)
           while (i < table.offsets(b + 1)) {
@@ -138,7 +157,7 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
             i += 1
           }
         }
-        off += table.mB
+        p += 1
       }
       t += 1
     }
@@ -233,8 +252,9 @@ final class MultiProbe(
     if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
     // (query, its probes per table), computed on the driver
+    val sequences = probeBatch(queries)
     val batch = Array.tabulate(queries.length) { qi =>
-      (qi, queries(qi), lshs.map(MultiProbe.probeSequence(_, queries(qi), probesPerTable)))
+      (qi, queries(qi), sequences.slice(qi * numTables, (qi + 1) * numTables))
     }
     val bcBatch = sc.broadcast(batch)
     val merged = TopK.gather(index, k) { part =>
@@ -254,6 +274,17 @@ final class MultiProbe(
     }.toArray
   }
 
+  /** Every query's probing sequence in every table, query qi's table t at
+    * qi·L + t, generated in parallel on the driver's cores (the common
+    * fork-join pool), each sequence into its own entry. */
+  def probeBatch(queries: Array[Array[Double]]): Array[Probes] = {
+    val out = new Array[Probes](queries.length * numTables)
+    IntStream.range(0, out.length).parallel().forEach { (i: Int) =>
+      out(i) = MultiProbe.probes(lshs(i % numTables), queries(i / numTables), probesPerTable)
+    }
+    out
+  }
+
   def unpersist(): Unit = index.unpersist()
 }
 
@@ -261,7 +292,7 @@ object MultiProbe {
 
   /** Query-directed probing sequence for one table (Lv et al. 2007): up to
     * `maxProbes` buckets, the home bucket first, then in ascending score,
-    * as mB coordinates each in one flat array.
+    * each as its perturbation set's mask.
     *
     * The 2·mB boundary distances x_i(δ) are sorted ascending into z; a
     * perturbation set is a bitmask over z, scored by the sum of its squared
@@ -269,19 +300,19 @@ object MultiProbe {
     * (replace the largest index j by j + 1) and expand (add j + 1); a set
     * that perturbs one dimension twice is skipped.
     */
-  def probeSequence(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Array[Int] = {
+  def probes(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Probes = {
     val mB = lsh.family.m
     require(2 * mB <= 64, s"a perturbation set of $mB dimensions does not fit a 64-bit mask")
     val coords = lsh.coords(q) // in units of w
     val w = lsh.w
-    val base = new Array[Int](mB)
+    val home = new Array[Int](mB)
     // boundary distances in projected units: entry 2i is δ = −1 on
     // dimension i, entry 2i + 1 is δ = +1
     val x = new Array[Double](2 * mB)
     var i = 0
     while (i < mB) {
-      base(i) = math.floor(coords(i)).toInt
-      val frac = (coords(i) - base(i)) * w
+      home(i) = math.floor(coords(i)).toInt
+      val frac = (coords(i) - home(i)) * w
       x(2 * i) = frac
       x(2 * i + 1) = w - frac
       i += 1
@@ -298,25 +329,18 @@ object MultiProbe {
     }
     val z = zx.map(x)
 
-    if (maxProbes <= 1 || mB == 0) return base
-    var out = Arrays.copyOf(base, 64 * mB)
+    // the home bucket's mask is 0L, the array's initial value
+    var masks = new Array[Long](64)
     var probes = 1
     val heap = new ProbeHeap
-    heap.push(z(0) * z(0), 1L)
+    if (mB > 0) heap.push(z(0) * z(0), 1L)
     while (probes < maxProbes && heap.size > 0) {
       val score = heap.topScore
       val set = heap.topSet
       heap.pop()
       if (perturbsEachDimOnce(set, zx)) {
-        if (out.length < (probes + 1) * mB) out = Arrays.copyOf(out, 2 * out.length)
-        val off = probes * mB
-        System.arraycopy(base, 0, out, off, mB)
-        var rest = set
-        while (rest != 0) {
-          val e = zx(JLong.numberOfTrailingZeros(rest))
-          out(off + e / 2) += (if (e % 2 == 0) -1 else 1)
-          rest &= rest - 1
-        }
+        if (probes == masks.length) masks = Arrays.copyOf(masks, 2 * probes)
+        masks(probes) = set
         probes += 1
       }
       val jmax = 63 - JLong.numberOfLeadingZeros(set)
@@ -327,7 +351,18 @@ object MultiProbe {
         heap.push(score + zn * zn, set | (1L << (jmax + 1))) // expand
       }
     }
-    Arrays.copyOf(out, probes * mB)
+    new Probes(home, zx, Arrays.copyOf(masks, probes))
+  }
+
+  /** The probing sequence of `probes`, decoded: mB coordinates per probe,
+    * in probing order, in one flat array. */
+  def probeSequence(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Array[Int] = {
+    val ps = probes(lsh, q, maxProbes)
+    val mB = lsh.family.m
+    val out = new Array[Int](ps.size * mB)
+    var p = 0
+    while (p < ps.size) { ps.decode(p, out, p * mB); p += 1 }
+    out
   }
 
   /** Whether the set's entries, z(j) = x(zx(j)), touch distinct dimensions. */

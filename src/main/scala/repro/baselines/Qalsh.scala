@@ -3,7 +3,6 @@ package repro.baselines
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
-import scala.collection.mutable.ArrayBuffer
 
 /** One partition of the QALSH index: its points in input order, and for
   * each of the K query-aware hash functions the points' slots sorted by
@@ -16,19 +15,25 @@ final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: In
 
   /** sortedIdx(i) = slots ordered by hash value i; vals(i) aligned. The
     * lambdas read a local copy: reading `hashes` would keep it as a field. */
-  val sortedIdx: Array[Array[Int]] = { val h = hashes; Array.tabulate(k)(i => h.indices.sortBy(j => h(j)(i)).toArray) }
+  val sortedIdx: Array[Array[Int]] = { val h = hashes; Array.tabulate(k)(i => StableOrder.of(h.map(_(i)))) }
   val vals: Array[Array[Double]] = { val h = hashes; Array.tabulate(k)(i => sortedIdx(i).map(j => h(j)(i))) }
 
   def size: Int = points.size
 
-  private def lowerBound(a: Array[Double], x: Double): Int = {
+  /** The first index of the sorted `a` whose value is ≥ x (`inclusive`) or
+    * > x (not), or a.length if there is none. */
+  private def search(a: Array[Double], x: Double, inclusive: Boolean): Int = {
     var lo = 0; var hi = a.length
-    while (lo < hi) { val mid = (lo + hi) >>> 1; if (a(mid) < x) lo = mid + 1 else hi = mid }
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < x || (!inclusive && a(mid) == x)) lo = mid + 1 else hi = mid
+    }
     lo
   }
 
   /** Virtual rehashing round: slots of points with ≥ l collisions, where
-    * a collision on hash i means |h_i(o) − h_i(q)| ≤ w·r/2.
+    * a collision on hash i means |h_i(o) − h_i(q)| ≤ w·r/2, i.e. h_i(o) in
+    * the closed window [h_i(q) − w·r/2, h_i(q) + w·r/2].
     */
   def collisionCandidates(qHash: Array[Double], w: Double, r: Double, l: Int): Array[Int] = {
     if (size == 0) return Array.empty
@@ -37,16 +42,17 @@ final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: In
     var i = 0
     while (i < k) {
       val a = vals(i)
-      val lo = lowerBound(a, qHash(i) - half)
-      val hi = lowerBound(a, qHash(i) + half + 1e-300)
+      val lo = search(a, qHash(i) - half, inclusive = true)
+      val hi = search(a, qHash(i) + half, inclusive = false)
       var j = lo
       while (j < hi) { counts(sortedIdx(i)(j)) += 1; j += 1 }
       i += 1
     }
-    val out = new ArrayBuffer[Int]()
+    val out = new Array[Int](size)
+    var found = 0
     var j = 0
-    while (j < size) { if (counts(j) >= l) out += j; j += 1 }
-    out.toArray
+    while (j < size) { if (counts(j) >= l) { out(found) = j; found += 1 }; j += 1 }
+    java.util.Arrays.copyOf(out, found)
   }
 }
 

@@ -55,19 +55,21 @@ final class Srs(spark: SparkSession, val engine: RangeLsh) {
     val byQ = accessed.groupBy(_._1)
     queries.indices.map { qi =>
       val rows = byQ.getOrElse(qi, Array.empty[(Int, Array[Long], Array[Double], Array[Double])])
-      val ids = rows.flatMap(_._2)
-      val pds = rows.flatMap(_._3)
-      val dds = rows.flatMap(_._4)
+      val ids = Array.concat(rows.map(_._2).toSeq: _*)
+      val pds = Array.concat(rows.map(_._3).toSeq: _*)
+      val dds = Array.concat(rows.map(_._4).toSeq: _*)
       // the global access order: a stable sort by projected distance of the
       // partition streams concatenated in partition order
-      val seq = pds.indices.sortBy(pds(_))
+      val seq = StableOrder.of(pds)
       // replay the global access order with SRS's termination tests
       val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
       var count = 0
       var stop = false
       var i = 0
       while (i < seq.length && !stop) {
-        val (id, pd, dd) = (ids(seq(i)), pds(seq(i)), dds(seq(i)))
+        val id = ids(seq(i))
+        val pd = pds(seq(i))
+        val dd = dds(seq(i))
         count += 1
         if (heap.size < k) heap.enqueue((dd, id))
         else if (dd < heap.head._1) { heap.dequeue(); heap.enqueue((dd, id)) }

@@ -43,6 +43,14 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     if (i < 0) Seq.empty else table.members.slice(table.offsets(i), table.offsets(i + 1)).toSeq
   }
 
+  /** The bucket of `table` with `b`'s fingerprint and coordinates, by a
+    * scan over every bucket, or −1. */
+  private def linearFind(table: BucketTable, b: Seq[Int]): Int = {
+    val fp = BucketTable.fingerprint(b.toArray, 0, table.mB)
+    table.keys.indices.find(i => table.keys(i) == fp &&
+      table.coords.slice(i * table.mB, (i + 1) * table.mB).toSeq == b).getOrElse(-1)
+  }
+
   test("probe sequence starts at the home bucket and has unique keys") {
     val q = queries.head
     for (t <- 0 until mp.numTables) {
@@ -96,6 +104,50 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("masks shipped to a task decode to probeSequence's coordinates (20 queries x 4 tables x 1500 probes)") {
+    val buf = new Array[Int](mp.numDims)
+    for (q <- HighDim.queryVecs(cfg, 28).drop(8); lsh <- mp.lshs) {
+      val shipped = MultiProbeSpec.roundTrip(MultiProbe.probes(lsh, q, 1500))
+      val seq = MultiProbe.probeSequence(lsh, q, 1500)
+      assert(shipped.size == 1500 && seq.length == 1500 * mp.numDims)
+      assert(shipped.masks(0) == 0L && shipped.masks.distinct.length == shipped.size)
+      assert(shipped.home.toSeq == lsh.buckets(q).toSeq)
+      // zx lists the boundary entries by ascending distance: entry 2i is
+      // δ = −1 on dimension i at distance frac, entry 2i + 1 is δ = +1 at w − frac
+      val coords = lsh.coords(q)
+      val x = (0 until mp.numDims).flatMap { i =>
+        val frac = (coords(i) - math.floor(coords(i))) * lsh.w
+        Seq(frac, lsh.w - frac)
+      }
+      assert(shipped.zx.sorted.toSeq == x.indices)
+      shipped.zx.map(x).sliding(2).foreach { case Array(a, b) => assert(a <= b) }
+      for (p <- 0 until shipped.size) {
+        java.util.Arrays.fill(buf, Int.MinValue)
+        shipped.decode(p, buf, 0)
+        assert(buf.toSeq == seq.slice(p * mp.numDims, (p + 1) * mp.numDims).toSeq, s"probe $p")
+        // each set bit j moves dimension zx(j)/2 one bucket down (even entry) or up (odd)
+        val expected = shipped.home.clone()
+        for (j <- 0 until 64 if (shipped.masks(p) >>> j & 1L) == 1L) {
+          val e = shipped.zx(j)
+          expected(e / 2) += (if (e % 2 == 0) -1 else 1)
+        }
+        assert(buf.toSeq == expected.toSeq, s"probe $p")
+      }
+    }
+  }
+
+  test("a batch of probe sequences generated in parallel equals one generated query by query") {
+    val qs = HighDim.queryVecs(cfg, 40)
+    val batch = mp.probeBatch(qs)
+    val serial = qs.flatMap(q => mp.lshs.map(MultiProbe.probes(_, q, mp.probesPerTable)))
+    assert(batch.length == qs.length * mp.numTables)
+    batch.zip(serial).foreach { case (a, b) =>
+      assert(a.home.toSeq == b.home.toSeq)
+      assert(a.zx.toSeq == b.zx.toSeq)
+      assert(a.masks.toSeq == b.masks.toSeq)
+    }
+  }
+
   test("flat tables return the members of a boxed bucket map for every probed bucket (scalacheck)") {
     val d = 4
     val gen = for {
@@ -115,10 +167,14 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
       val mark = new Array[Int](part.size)
       val found = new Array[Int](part.size)
       qs.zipWithIndex.forall { case (q, qi) =>
-        val probes = lshs.map(MultiProbe.probeSequence(_, q, 30))
-        val probed = probes.indices.map(t => rows(probes(t), 3))
+        val probes = lshs.map(MultiProbe.probes(_, q, 30))
+        val probed = lshs.map(lsh => rows(MultiProbe.probeSequence(lsh, q, 30), 3))
         val tablesAgree = probed.indices.forall { t =>
-          (probed(t) ++ refs(t).keys.map(_.toSeq)).forall(b => lookup(t, b) == refs(t).getOrElse(b.toList, Seq.empty))
+          (probed(t) ++ refs(t).keys.map(_.toSeq)).forall { b =>
+            val table = part.tables(t)
+            table.find(BucketTable.fingerprint(b.toArray, 0, 3), b.toArray, 0) == linearFind(table, b) &&
+              lookup(t, b) == refs(t).getOrElse(b.toList, Seq.empty)
+          }
         }
         val absent = lookup(0, Seq.fill(3)(Int.MinValue)).isEmpty
         val expected = probed.indices.flatMap(t => probed(t).flatMap(b => refs(t).getOrElse(b.toList, Seq.empty))).distinct
@@ -242,6 +298,15 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
 }
 
 object MultiProbeSpec {
+
+  /** `probes` after a Java serialization round trip, as a broadcast ships it. */
+  def roundTrip(probes: Probes): Probes = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(probes)
+    out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[Probes]
+  }
 
   /** The probing sequence as generated before the primitive heap: a
     * List/PriorityQueue perturbation-set heap (Lv et al. 2007), one

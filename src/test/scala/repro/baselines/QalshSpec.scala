@@ -51,6 +51,15 @@ class QalshSpec extends SparkSpec with TimeLimits {
     assert(cands1.length >= cands.length)
   }
 
+  test("a hash exactly on either edge of the window w*r/2 collides") {
+    // query hash 1.0, w*r/2 = 2.0*0.5/2 = 0.5: the window is [0.5, 1.5]
+    val hashes = Array(0.5, 1.0, 1.5, 1.5 + math.ulp(1.5), 0.5 - math.ulp(0.5), 2.0)
+    val part = new QalshPart(Slots.of(Array.tabulate(hashes.length)(i => Point(i.toLong, Array.empty))),
+      hashes.map(h => Array(h)), 1)
+    val cands = part.collisionCandidates(Array(1.0), 2.0, 0.5, 1)
+    assert(cands.map(part.points.ids(_)).toSeq == Seq(0L, 1L, 2L))
+  }
+
   test("reasonable recall against exact ground truth") {
     val res = qalsh.knn(queries, k).map(_.neighbors)
     val recall = Metrics.meanOver(res, gt)(Metrics.recall)

@@ -65,6 +65,25 @@ class SrsSpec extends SparkSpec with TimeLimits {
     assert(res.exists(_.candidates < budget), "no query terminated early")
   }
 
+  test("the global access order equals the boxed stable sortBy on streams with tied projected distances") {
+    val rng = new scala.util.Random(5)
+    for (trial <- 0 until 200) {
+      // one ascending stream per partition (unsorted in odd trials, as the
+      // sort takes any input), projected distances drawn from a few levels so
+      // that ties fall inside and across partitions
+      val levels = 1 + trial % 7
+      val streams = Array.fill(1 + rng.nextInt(8)) {
+        val s = Array.fill(rng.nextInt(40))(rng.nextInt(levels) * 0.25)
+        if (trial % 2 == 0) s.sorted else s
+      }
+      val pds = streams.flatten
+      assert(StableOrder.of(pds).toSeq == pds.indices.sortBy(pds(_)), s"trial $trial")
+    }
+    // within one stream, equal distances keep their stream order
+    val tied = Array(0.5, 0.5, 0.5, 0.0, 0.5, 0.0)
+    assert(StableOrder.of(tied).toSeq == Seq(3, 5, 0, 1, 2, 4))
+  }
+
   test("empty query batch") {
     assert(srs.knn(Array.empty, k).isEmpty)
   }

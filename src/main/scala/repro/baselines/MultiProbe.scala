@@ -249,29 +249,25 @@ final class MultiProbe(
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
     // (query, its probes per table), computed on the driver
-    val sequences = probeBatch(queries)
-    val batch = Array.tabulate(queries.length) { qi =>
-      (qi, queries(qi), sequences.slice(qi * numTables, (qi + 1) * numTables))
-    }
-    val bcBatch = sc.broadcast(batch)
-    val merged = TopK.gather(index, k) { part =>
-      // per-task buffers; the mark array is stamped with query number + 1
+    TopK.gather(index, queries.zip(probeBatch(queries).grouped(numTables))) { part =>
+      // per-task buffers; the mark array is stamped with the entry's batch
+      // position + 1
       val mark = new Array[Int](part.size)
       val found = new Array[Int](part.size)
-      bcBatch.value.iterator.map { case (qi, qv, probes) =>
-        val size = part.candidates(probes, mark, qi + 1, found)
+      var stamp = 0
+      entry => {
+        val (qv, probes) = entry
+        stamp += 1
+        val size = part.candidates(probes, mark, stamp, found)
         // one probing pass, no radius: the within-c·r count is unused
-        qi -> part.points.verify(qv, found, size, k, Double.NegativeInfinity)
+        part.points.verify(qv, found, size, k, Double.NegativeInfinity)
       }
-    }
-    bcBatch.destroy()
-    queries.indices.map { qi =>
-      val res = merged.getOrElse(qi, TopK.empty)
+    }.map { rows =>
+      val res = TopK.merge(rows, k)
       QueryResult(res.neighbors, 1, res.count)
-    }.toArray
+    }
   }
 
   /** Every query's probing sequence in every table, query qi's table t at
@@ -318,15 +314,7 @@ object MultiProbe {
       i += 1
     }
     // z(j) = x(zx(j)), ascending, equal distances in entry order
-    val zx = Array.range(0, 2 * mB)
-    var j = 1
-    while (j < zx.length) {
-      val e = zx(j)
-      var p = j
-      while (p > 0 && java.lang.Double.compare(x(zx(p - 1)), x(e)) > 0) { zx(p) = zx(p - 1); p -= 1 }
-      zx(p) = e
-      j += 1
-    }
+    val zx = StableOrder.of(x)
     val z = zx.map(x)
 
     // the home bucket's mask is 0L, the array's initial value

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
+import scala.annotation.unused
 import scala.collection.mutable
 
 /** SRS (Sun et al., §3.1) on Spark: incremental NN search over R-trees in
@@ -18,77 +19,84 @@ import scala.collection.mutable
   *   P[χ²(m) ≤ (c·r'_next / d_k)²] ≥ p'_τ
   * (an unseen point that could beat the current k-th best by factor c must
   * have projected distance ≥ r'_next, an event of vanishing probability).
+  * The replay runs it without the factor c, which stops later (`Srs.replay`).
   */
-final class Srs(spark: SparkSession, val engine: RangeLsh) {
+final class Srs(@unused("callers build every engine from a session; SRS reads only its engine") spark: SparkSession,
+                val engine: RangeLsh) {
   require(!engine.usePmTree, "SRS requires an R-tree engine (usePmTree = false)")
 
   val tFrac: Double = 0.4010
   val pTau: Double = 0.8107
 
-  private val sc = spark.sparkContext
-
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
-    val qProjs = queries.map(engine.family.project)
-    val batch = queries.indices.map(i => (i, queries(i), qProjs(i))).toArray
-    val bcBatch = sc.broadcast(batch)
     val frac = tFrac
     // one row per partition and query: the partition's access sequence as
     // parallel arrays of ids, projected distances and verified distances
-    val accessed: Array[(Int, Array[Long], Array[Double], Array[Double])] = engine.indexes
-      .flatMap { part =>
-        val rt = part.asInstanceOf[RTreePart]
-        val pts = rt.points
-        val cap = math.ceil(frac * rt.size).toInt + k
-        bcBatch.value.iterator.map { case (qi, qv, qp) =>
-          val seq = rt.incSlots(qp).take(cap).toArray
-          (qi, seq.map(e => pts.ids(e._1)), seq.map(_._2), seq.map(e => pts.dist(qv, e._1)))
-        }
+    val streams = TopK.gather(engine.indexes, queries.map(q => (q, engine.family.project(q)))) { part =>
+      val rt = part.asInstanceOf[RTreePart]
+      val pts = rt.points
+      val cap = math.ceil(frac * rt.size).toInt + k
+      entry => {
+        val (qv, qp) = entry
+        val seq = rt.incSlots(qp).take(cap).toArray
+        (seq.map(e => pts.ids(e._1)), seq.map(_._2), seq.map(e => pts.dist(qv, e._1)))
       }
-      .collect()
-    bcBatch.destroy()
+    }
 
-    val n = engine.n
-    val m = engine.params.m
-    val budget = math.ceil(frac * n).toLong + k
-    val byQ = accessed.groupBy(_._1)
-    queries.indices.map { qi =>
-      val rows = byQ.getOrElse(qi, Array.empty[(Int, Array[Long], Array[Double], Array[Double])])
-      val ids = Array.concat(rows.map(_._2).toSeq: _*)
-      val pds = Array.concat(rows.map(_._3).toSeq: _*)
-      val dds = Array.concat(rows.map(_._4).toSeq: _*)
-      // the global access order: a stable sort by projected distance of the
-      // partition streams concatenated in partition order
-      val seq = StableOrder.of(pds)
-      // replay the global access order with SRS's termination tests
-      val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
-      var count = 0
-      var stop = false
-      var i = 0
-      while (i < seq.length && !stop) {
-        val id = ids(seq(i))
-        val pd = pds(seq(i))
-        val dd = dds(seq(i))
-        count += 1
-        if (heap.size < k) heap.enqueue((dd, id))
-        else if (dd < heap.head._1) { heap.dequeue(); heap.enqueue((dd, id)) }
-        if (count >= budget) stop = true
-        else if (heap.size >= k) {
-          // conservative termination: stop once an unseen point *tied with*
-          // the current k-th best would almost surely have been scanned
-          // already (P[chi2(m) <= (pd/d_k)^2] >= p'_tau). Including the c
-          // factor stops as soon as mere c-approximation is likely, which
-          // collapses recall far below the paper's reported SRS levels.
-          val dk = heap.head._1
-          val z = pd / math.max(dk, 1e-12)
-          if (ChiSquared.cdf(z * z, m) >= pTau) stop = true
-        }
-        i += 1
+    val budget = math.ceil(frac * engine.n).toLong + k
+    val stops = Srs.stopRule(pTau, engine.params.m)
+    streams.map { rows =>
+      Srs.replay(Array.concat(rows.map(_._1).toSeq: _*), Array.concat(rows.map(_._2).toSeq: _*),
+        Array.concat(rows.map(_._3).toSeq: _*), k, budget, stops)
+    }
+  }
+}
+
+object Srs {
+
+  /** SRS's early-termination test on z² = (r'_next/d_k)²:
+    * P[χ²(m) ≤ z²] ≥ p'_τ. The χ² cdf increases with z², so below
+    * z_lo² = (1 − 1e-6)·χ²_{1−p'_τ}(m), checked to have cdf < p'_τ, the
+    * test is false without computing the cdf. */
+  def stopRule(pTau: Double, m: Int): Double => Boolean = {
+    val zLo2 = ChiSquared.upperQuantile(1 - pTau, m) * (1 - 1e-6)
+    require(ChiSquared.cdf(zLo2, m) < pTau, s"no stop bound below the $pTau quantile of chi2($m)")
+    z2 => z2 >= zLo2 && ChiSquared.cdf(z2, m) >= pTau
+  }
+
+  /** One query's replay: the partition streams (ids, projected distances,
+    * verified distances), concatenated in partition order, are accessed in
+    * the global incSearch order, a stable sort by projected distance, until
+    * `budget` accesses or until `stops` fires on z². */
+  def replay(ids: Array[Long], pds: Array[Double], dds: Array[Double], k: Int, budget: Long,
+             stops: Double => Boolean): QueryResult = {
+    val seq = StableOrder.of(pds)
+    val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
+    var count = 0
+    var stop = false
+    var i = 0
+    while (i < seq.length && !stop) {
+      val id = ids(seq(i))
+      val pd = pds(seq(i))
+      val dd = dds(seq(i))
+      count += 1
+      if (heap.size < k) heap.enqueue((dd, id))
+      else if (dd < heap.head._1) { heap.dequeue(); heap.enqueue((dd, id)) }
+      if (count >= budget) stop = true
+      else if (heap.size >= k) {
+        // conservative termination: stop once an unseen point *tied with*
+        // the current k-th best would almost surely have been scanned
+        // already (P[chi2(m) <= (pd/d_k)^2] >= p'_tau). Including the c
+        // factor stops as soon as mere c-approximation is likely, which
+        // collapses recall far below the paper's reported SRS levels.
+        val z = pd / math.max(heap.head._1, 1e-12)
+        stop = stops(z * z)
       }
-      val top: Array[Neighbor] =
-        heap.dequeueAll.toArray.reverse.map((e: (Double, Long)) => Neighbor(e._2, e._1))
-      QueryResult(top, 1, count)
-    }.toArray
+      i += 1
+    }
+    val top: Array[Neighbor] =
+      heap.dequeueAll.toArray.reverse.map((e: (Double, Long)) => Neighbor(e._2, e._1))
+    QueryResult(top, 1, count)
   }
 }

@@ -1,32 +1,26 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
+import scala.annotation.unused
 
 /** Exact kNN over the full dataset — the R* of Eqs. 11–12 and the engine
   * behind the LScan baseline. One Spark action per query batch, the exact
   * probe: each partition verifies every one of its points against every
-  * query and ships its top-k (`TopK.of`), and the driver merges them
-  * (`TopK.gather`).
+  * query and ships its top-k (`TopK.of`) through `TopK.gather`, and the
+  * driver merges them (`TopK.merge`).
   */
 object GroundTruth {
 
   def knnBatch(
-      spark: SparkSession,
+      @unused("the signature every caller uses; the job runs on the session of `points`") spark: SparkSession,
       points: Dataset[Point],
       queries: Array[Array[Double]],
-      k: Int): Array[Array[Neighbor]] = {
-    if (queries.isEmpty) return Array.empty
-    val bcQ = spark.sparkContext.broadcast(queries)
-    val merged = TopK.gather(points.rdd.glom(), k) { part =>
+      k: Int): Array[Array[Neighbor]] =
+    TopK.gather(points.rdd.glom(), queries) { part =>
       val ids = part.map(_.id)
       // no radius: the within-c·r count is unused
-      bcQ.value.iterator.zipWithIndex.map { case (q, qi) =>
-        qi -> TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
-      }
-    }
-    bcQ.destroy()
-    queries.indices.map(qi => merged.getOrElse(qi, TopK.empty).neighbors).toArray
-  }
+      q => TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
+    }.map(TopK.merge(_, k).neighbors)
 }
 
 /** The LScan baseline of §6.1: exact top-k over a random portion (default

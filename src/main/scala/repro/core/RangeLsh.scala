@@ -149,14 +149,12 @@ final class RangeLsh(
     Vec.requireFinite(Array(q))
     val qp = family.project(q)
     val budget = betaNk(0) + 1
-    val bcQ = sc.broadcast((q, qp, t * r, params.c * r))
     val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + 1
     // each partition ships its candidate count and its closest candidate
-    val res = TopK.gather(indexes, 1) { part =>
-      val (qv, qpp, rr, cr) = bcQ.value
-      Iterator.single(0 -> part.probe(qv, qpp, rr, partCap, 1, cr))
-    }.getOrElse(0, TopK.empty)
-    bcQ.destroy()
+    val rows = TopK.gather(indexes, Array((q, qp, t * r, params.c * r))) { part =>
+      { case (qv, qpp, rr, cr) => part.probe(qv, qpp, rr, partCap, 1, cr) }
+    }
+    val res = TopK.merge(rows.head, 1)
     Option.when(res.count >= budget || res.withinCr >= 1)(res.neighbors.head)
   }
 

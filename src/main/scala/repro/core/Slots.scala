@@ -104,34 +104,15 @@ private[core] final class Hits {
   }
 
   /** Keeps the `cap` nearest by projected distance, ascending, equal
-    * distances in traversal order; a result within the cap keeps its
-    * traversal order. */
-  def keepNearest(cap: Int): Unit = if (size > cap) { sortByDist(); size = cap }
-
-  /** Stable bottom-up merge sort of the first `size` entries by distance. */
-  private def sortByDist(): Unit = {
-    var s = slots; var d = dists
-    var ts = new Array[Int](size); var td = new Array[Double](size)
-    var width = 1
-    while (width < size) {
-      var lo = 0
-      while (lo < size) {
-        val mid = math.min(lo + width, size)
-        val hi = math.min(lo + 2 * width, size)
-        var i = lo; var j = mid; var o = lo
-        while (o < hi) {
-          if (j == hi || (i < mid && java.lang.Double.compare(d(i), d(j)) <= 0)) {
-            ts(o) = s(i); td(o) = d(i); i += 1
-          } else { ts(o) = s(j); td(o) = d(j); j += 1 }
-          o += 1
-        }
-        lo = hi
-      }
-      val s0 = s; s = ts; ts = s0
-      val d0 = d; d = td; td = d0
-      width *= 2
-    }
-    slots = s; dists = d
+    * distances in traversal order (`StableOrder`); a result within the cap
+    * keeps its traversal order. */
+  def keepNearest(cap: Int): Unit = if (size > cap) {
+    val s = slots; val d = dists
+    val order = StableOrder(size, (i, j) => java.lang.Double.compare(d(i), d(j)))
+    slots = new Array[Int](cap); dists = new Array[Double](cap)
+    var i = 0
+    while (i < cap) { slots(i) = s(order(i)); dists(i) = d(order(i)); i += 1 }
+    size = cap
   }
 }
 

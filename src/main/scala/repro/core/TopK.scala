@@ -16,8 +16,6 @@ final case class TopK(count: Int, withinCr: Int, ids: Array[Long], dists: Array[
 
 object TopK {
 
-  val empty: TopK = TopK(0, 0, Array.emptyLongArray, Array.emptyDoubleArray)
-
   /** Summary of one partition's verified candidates, given in range-result
     * order; `cr` is c·r, computed on the driver so every executor compares
     * against the same double. */
@@ -32,19 +30,28 @@ object TopK {
     * counts add up, and the k smallest of the concatenated top-k lists, ties
     * in concatenation order, are exactly the first k of a stable sort of all
     * partitions' candidates concatenated in partition order. */
-  def merge(parts: Seq[TopK], k: Int): TopK = {
-    val ids = parts.flatMap(_.ids).toArray
-    val dists = parts.flatMap(_.dists).toArray
+  def merge(parts: Array[TopK], k: Int): TopK = {
+    val ids = Array.concat(parts.map(_.ids).toSeq: _*)
+    val dists = Array.concat(parts.map(_.dists).toSeq: _*)
     val pos = smallest(dists, k)
     TopK(parts.map(_.count).sum, parts.map(_.withinCr).sum, pos.map(ids), pos.map(dists))
   }
 
-  /** One Spark action over partition indexes: `probe` yields one
-    * (query, summary) row per query for a partition, and each query's rows
-    * are merged. `collect` returns rows in partition order, which `merge`'s
-    * tie order relies on. */
-  def gather[P](parts: RDD[P], k: Int)(probe: P => Iterator[(Int, TopK)]): Map[Int, TopK] =
-    parts.flatMap(probe).collect().groupBy(_._1).map { case (qi, rows) => qi -> merge(rows.map(_._2), k) }
+  /** One Spark action for a batch, the step every query runs: `batch` is
+    * broadcast once; each partition's task calls `probe(part)` once, so the
+    * function it returns may own per-task buffers, applies that function to
+    * every entry in batch order, and ships its rows as one array. Entry i's
+    * result is its rows in partition order, the order `merge`'s ties rely
+    * on. The broadcast is destroyed even when the job fails or is
+    * cancelled. */
+  def gather[P, B: ClassTag, R: ClassTag](parts: RDD[P], batch: Array[B])(probe: P => B => R): Array[Array[R]] = {
+    if (batch.isEmpty) return Array.empty
+    val bcBatch = parts.sparkContext.broadcast(batch)
+    try {
+      val rows = parts.map(part => bcBatch.value.map(probe(part))).collect()
+      Array.tabulate(batch.length)(i => rows.map(_(i)))
+    } finally bcBatch.destroy()
+  }
 
   /** Algorithm 2's radius loop (§4.4), batched: every round is one `gather`
     * of the still-active queries, each at its own radius r, starting at r0.
@@ -57,7 +64,6 @@ object TopK {
   def radiusRounds[P, Q: ClassTag](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long,
                                    budget: Long, r0: Double, c: Double)(prepare: Array[Double] => Q)(
                                    probe: (P, Q, Double, Double) => TopK): Array[QueryResult] = {
-    if (queries.isEmpty) return Array.empty
     Vec.requireFinite(queries)
     val prepared = queries.map(prepare)
     val radii = Array.fill(queries.length)(r0)
@@ -66,17 +72,15 @@ object TopK {
     var round = 0
     while (active.nonEmpty) {
       round += 1
-      val bcBatch = parts.sparkContext.broadcast(active.map(i => (i, prepared(i), radii(i), c * radii(i))))
-      val merged = gather(parts, k) { part =>
-        bcBatch.value.iterator.map { case (qi, q, r, cr) => qi -> probe(part, q, r, cr) }
+      val rows = gather(parts, active.map(qi => (prepared(qi), radii(qi), c * radii(qi)))) { part =>
+        { case (q, r, cr) => probe(part, q, r, cr) }
       }
-      bcBatch.destroy()
-      active = active.filter { qi =>
-        val res = merged.getOrElse(qi, empty)
+      active = active.zip(rows).filter { case (qi, qRows) =>
+        val res = merge(qRows, k)
         val done = res.count >= budget || res.count >= n || res.withinCr >= k
         if (done) results(qi) = QueryResult(res.neighbors, round, res.count) else radii(qi) *= c
         !done
-      }
+      }.map(_._1)
     }
     results
   }

@@ -84,6 +84,40 @@ class SrsSpec extends SparkSpec with TimeLimits {
     assert(StableOrder.of(tied).toSeq == Seq(3, 5, 0, 1, 2, 4))
   }
 
+  test("the stop bound skips only cdf calls that could not fire: replays stop at the same access") {
+    val rng = new scala.util.Random(17)
+    var early = 0
+    for (trial <- 0 until 300) {
+      val m = Seq(15, 1, 2, 8, 30)(trial % 5)
+      val pTau = Seq(srs.pTau, 0.5, 0.99)(trial % 3)
+      val kk = 1 + rng.nextInt(12)
+      // one ascending stream of projected distances per partition; verified
+      // distances a random multiple of pd/√m, so z² = (pd/d_k)² sweeps past
+      // the p'_τ quantile of χ²(m) at varying accesses
+      val streams = Array.fill(1 + rng.nextInt(6)) {
+        val pds = Array.fill(rng.nextInt(60))(rng.nextDouble() * 10).sorted
+        (pds, pds.map(pd => pd / math.sqrt(m) * (0.3 + 2 * rng.nextDouble())))
+      }
+      val pds = streams.flatMap(_._1)
+      val dds = streams.flatMap(_._2)
+      val ids = pds.indices.map(_.toLong).toArray
+      val budget = 1L + rng.nextInt(pds.length + 1)
+      val old = Srs.replay(ids, pds, dds, kk, budget, z2 => ChiSquared.cdf(z2, m) >= pTau)
+      val cut = Srs.replay(ids, pds, dds, kk, budget, Srs.stopRule(pTau, m))
+      assert(cut.candidates == old.candidates, s"trial $trial")
+      assert(cut.neighbors.toSeq == old.neighbors.toSeq, s"trial $trial")
+      if (old.candidates < math.min(budget, pds.length.toLong)) early += 1
+    }
+    assert(early >= 50, s"only $early replays stopped on the chi2 test")
+    // and pointwise, around the bound and far from it
+    for (m <- Seq(1, 15, 30); pTau <- Seq(srs.pTau, 0.5, 0.99)) {
+      val rule = Srs.stopRule(pTau, m)
+      val q = ChiSquared.upperQuantile(1 - pTau, m)
+      val z2s = (0 to 400).map(i => q * (1 + (i - 200) * 1e-8)) ++ (0 to 400).map(_ * q / 100)
+      z2s.foreach(z2 => assert(rule(z2) == (ChiSquared.cdf(z2, m) >= pTau), s"m=$m pTau=$pTau z2=$z2"))
+    }
+  }
+
   test("empty query batch") {
     assert(srs.knn(Array.empty, k).isEmpty)
   }

@@ -78,7 +78,7 @@ class EstimatorsSpec extends AnyFunSuite {
     val q = Array.fill(d)(rng.nextDouble())
     val qp = fam.project(q)
     val trueTop = base.zipWithIndex.sortBy { case (v, _) => Vec.dist(q, v) }.take(20).map(_._2).toSet
-    val byL2 = base.zipWithIndex.sortBy { case (v, i) => Estimators.l2(qp, fam.project(v)) }
+    val byL2 = base.zipWithIndex.sortBy { case (v, _) => Estimators.l2(qp, fam.project(v)) }
       .take(60).map(_._2).toSet
     val byRand = base.zipWithIndex.sortBy { case (_, i) => Estimators.rand(7, i.toLong, 1.0) }
       .take(60).map(_._2).toSet

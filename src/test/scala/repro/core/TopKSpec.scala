@@ -1,13 +1,15 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.SparkSpec
 
 /** The per-partition top-k plus counts that the query rounds ship: summing
   * the counts and merging the partitions' top-k lists must give the same
   * answer as shipping every candidate and sorting them all on the driver.
+  * And the one gather every batch query runs: one row per partition for
+  * each batch entry, in partition order.
   */
-class TopKSpec extends AnyFunSuite {
+class TopKSpec extends SparkSpec {
 
   // few distinct distances, so ties are common; empty partitions included
   private val partGen: Gen[List[(Long, Double)]] =
@@ -19,7 +21,7 @@ class TopKSpec extends AnyFunSuite {
     val prop = Prop.forAll(caseGen) { case (parts, k, cr) =>
       val all = parts.flatten
       val expected = all.sortBy(_._2).take(k)
-      val merged = TopK.merge(parts.map(p => TopK.of(p.map(_._1).toArray, p.map(_._2).toArray, k, cr)), k)
+      val merged = TopK.merge(parts.map(p => TopK.of(p.map(_._1).toArray, p.map(_._2).toArray, k, cr)).toArray, k)
       merged.count == all.length &&
         merged.withinCr == all.count(_._2 <= cr) &&
         merged.ids.toSeq == expected.map(_._1) &&
@@ -39,5 +41,46 @@ class TopKSpec extends AnyFunSuite {
     Vec.requireFinite(Array(Array(0.0, -1.5)))
     intercept[IllegalArgumentException](Vec.requireFinite(Array(Array(0.0), Array(Double.NaN))))
     intercept[IllegalArgumentException](Vec.requireFinite(Array(Array(Double.NegativeInfinity))))
+  }
+
+  /** 3 rows in 8 partitions, one element per partition: its index and rows. */
+  private def sparseParts = spark.sparkContext.parallelize(1 to 3, 8)
+    .mapPartitionsWithIndex((p, rows) => Iterator.single(p -> rows.toArray))
+
+  test("gather: each batch entry gets one row per partition, empty ones too, in partition order") {
+    val parts = sparseParts
+    val contents = parts.collect()
+    assert(contents.count(_._2.isEmpty) >= 5)
+    val rows = TopK.gather(parts, Array("a", "b", "c")) { case (p, pts) => b => s"$b:$p:${pts.mkString(",")}" }
+    assert(rows.length == 3)
+    for ((b, i) <- Seq("a", "b", "c").zipWithIndex)
+      assert(rows(i).toSeq == contents.toSeq.map { case (p, pts) => s"$b:$p:${pts.mkString(",")}" })
+  }
+
+  test("gather: probe(part) runs once per partition and its function sees the batch in order") {
+    val parts = sparseParts
+    val calls = spark.sparkContext.longAccumulator("probe calls")
+    val rows = TopK.gather(parts, Array.fill(6)(())) { _ =>
+      calls.add(1)
+      var seen = 0 // per-task state, as Multi-Probe's stamp
+      _ => { seen += 1; seen }
+    }
+    assert(calls.sum == parts.getNumPartitions)
+    assert(rows.map(_.toSeq).toSeq == (1 to 6).map(Seq.fill(parts.getNumPartitions)(_)))
+  }
+
+  test("gather: a probe that throws surfaces, and the next gather on the same RDD answers") {
+    val parts = sparseParts
+    val e = intercept[Exception] {
+      TopK.gather(parts, Array(1, 2)) { case (p, _) => b => if (p == 5 && b == 2) sys.error("probe failed") else b }
+    }
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(causes.exists(c => Option(c.getMessage).exists(_.contains("probe failed"))), e)
+    val rows = TopK.gather(parts, Array(1, 2)) { case (p, _) => b => p * 10 + b }
+    assert(rows.map(_.toSeq).toSeq == Seq((0 until 8).map(_ * 10 + 1), (0 until 8).map(_ * 10 + 2)))
+  }
+
+  test("gather: an empty batch returns an empty array") {
+    assert(TopK.gather(sparseParts, Array.empty[Int])(_ => b => b).isEmpty)
   }
 }

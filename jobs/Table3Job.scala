@@ -9,7 +9,7 @@ import repro.tables.Tables
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(Tables.scaleFromEnv)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("pm-lsh-table3")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

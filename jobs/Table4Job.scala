@@ -12,7 +12,7 @@ object Table4Job {
     val scale = args.lift(0).map(_.toDouble).getOrElse(Tables.scaleFromEnv)
     val k = args.lift(1).map(_.toInt).getOrElse(50)
     val numQueries = args.lift(2).map(_.toInt).getOrElse(20)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("pm-lsh-table4")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -249,6 +249,7 @@ final class MultiProbe(
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
+    TopK.requireK(k)
     Vec.requireFinite(queries)
     // (query, its probes per table), computed on the driver
     TopK.gather(index, queries.zip(probeBatch(queries).grouped(numTables))) { part =>

@@ -20,17 +20,6 @@ final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: In
 
   def size: Int = points.size
 
-  /** The first index of the sorted `a` whose value is ≥ x (`inclusive`) or
-    * > x (not), or a.length if there is none. */
-  private def search(a: Array[Double], x: Double, inclusive: Boolean): Int = {
-    var lo = 0; var hi = a.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (a(mid) < x || (!inclusive && a(mid) == x)) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   /** Virtual rehashing round: slots of points with ≥ l collisions, where
     * a collision on hash i means |h_i(o) − h_i(q)| ≤ w·r/2, i.e. h_i(o) in
     * the closed window [h_i(q) − w·r/2, h_i(q) + w·r/2].
@@ -42,8 +31,8 @@ final class QalshPart(val points: Slots, hashes: Array[Array[Double]], val k: In
     var i = 0
     while (i < k) {
       val a = vals(i)
-      val lo = search(a, qHash(i) - half, inclusive = true)
-      val hi = search(a, qHash(i) + half, inclusive = false)
+      val lo = StableOrder.bound(a, qHash(i) - half, upper = false)
+      val hi = StableOrder.bound(a, qHash(i) + half, upper = true)
       var j = lo
       while (j < hi) { counts(sortedIdx(i)(j)) += 1; j += 1 }
       i += 1
@@ -95,18 +84,19 @@ final class Qalsh(
   val p1: Double = GaussianLsh.queryAwareCollisionProb(1.0, w)
   val p2: Double = GaussianLsh.queryAwareCollisionProb(c, w)
 
+  /** The Hoeffding terms √ln(2/β), at the false-positive fraction target
+    * β = 0.01, and √ln(1/δ). */
+  private val wb = math.sqrt(math.log(2.0 / 0.01))
+  private val wd = math.sqrt(math.log(1.0 / delta))
+
   /** Number of hash functions from the Hoeffding bound (QALSH Thm. 1). */
   val numHashes: Int = {
-    val beta = 0.01 // false-positive fraction target used in the bound
-    val eta = (math.sqrt(math.log(2.0 / beta)) + math.sqrt(math.log(1.0 / delta))).toDouble
+    val eta = wb + wd
     math.min(kCap, math.max(8, math.ceil(eta * eta / (2.0 * (p1 - p2) * (p1 - p2))).toInt))
   }
 
   /** Collision threshold l = ⌈α·K⌉, α the Hoeffding-weighted mix of p1, p2. */
   val l: Int = {
-    val beta = 0.01
-    val wb = math.sqrt(math.log(2.0 / beta))
-    val wd = math.sqrt(math.log(1.0 / delta))
     val alpha = (wb * p1 + wd * p2) / (wb + wd)
     math.max(1, math.ceil(alpha * numHashes).toInt)
   }

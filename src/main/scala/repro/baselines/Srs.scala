@@ -29,6 +29,7 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
   val pTau: Double = 0.8107
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
+    TopK.requireK(k)
     Vec.requireFinite(queries)
     val frac = tFrac
     // one row per partition and query: the partition's access sequence as

@@ -7,23 +7,15 @@ package repro.core
   */
 object CostModel {
 
-  /** Per-dimension empirical CDF G_i (Eq. 8) from a sorted column sample. */
-  final class Cdf1D(sorted: Array[Double]) extends Serializable {
-    require(sorted.nonEmpty, "empty 1-D sample")
-    def apply(x: Double): Double = {
-      var lo = 0; var hi = sorted.length
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid) <= x) lo = mid + 1 else hi = mid }
-      lo.toDouble / sorted.length
-    }
-  }
-
-  def cdfPerDim(projs: Array[Array[Double]]): Array[Cdf1D] = {
+  /** The per-dimension empirical CDFs G_i (Eq. 8) of a projection sample,
+    * each over its sorted column. */
+  def cdfPerDim(projs: Array[Array[Double]]): Array[EmpiricalDistances] = {
     require(projs.nonEmpty, "empty projection sample")
     val m = projs.head.length
     Array.tabulate(m) { i =>
       val col = projs.map(_(i))
       java.util.Arrays.sort(col)
-      new Cdf1D(col)
+      new EmpiricalDistances(col)
     }
   }
 
@@ -59,7 +51,7 @@ object CostModel {
     * side [l_i, u_i] becomes [l_i − l, u_i + l] with l the isochoric cube
     * side (G_i(u_i + l) − G_i(l_i − l)).
     */
-  def rTreeCost(nodes: Seq[RNodeSummary], gs: Array[Cdf1D], rq: Double): Double = {
+  def rTreeCost(nodes: Seq[RNodeSummary], gs: Array[EmpiricalDistances], rq: Double): Double = {
     val m = gs.length
     val e = isochoricCubeSide(m, rq)
     nodes.iterator.map { nd =>
@@ -68,7 +60,7 @@ object CostModel {
         var pr = 1.0
         var i = 0
         while (i < m && pr > 0) {
-          pr *= math.max(0.0, gs(i)(nd.hi(i) + e) - gs(i)(nd.lo(i) - e))
+          pr *= math.max(0.0, gs(i).cdf(nd.hi(i) + e) - gs(i).cdf(nd.lo(i) - e))
           i += 1
         }
         nd.nEntries * pr

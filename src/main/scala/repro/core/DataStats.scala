@@ -19,16 +19,19 @@ case class DatasetStats(n: Long, d: Int, hv: Double, rc: Double, lid: Double)
 
 object DataStats {
 
+  /** HV compares the distance CDFs of this many viewpoints, each over the
+    * same `Others` points. */
+  private val Viewpoints = 30
+  private val Others = 300
+
   def compute(
       spark: SparkSession,
       points: Dataset[Point],
       sampleQueries: Int = 50,
       kLid: Int = 100,
-      viewpoints: Int = 30,
-      others: Int = 300,
-      seed: Long = 7): DatasetStats = {
+      seed: Long): DatasetStats = {
     val n = points.count()
-    val sample = points.limit(math.max(sampleQueries, viewpoints + others)).collect()
+    val sample = points.limit(math.max(sampleQueries, Viewpoints + Others)).collect()
     require(sample.nonEmpty, "empty dataset")
     val d = sample.head.vec.length
 
@@ -57,8 +60,8 @@ object DataStats {
     }
 
     val hv = {
-      val vps = sample.take(viewpoints).map(_.vec)
-      val obs = sample.slice(viewpoints, viewpoints + others).map(_.vec)
+      val vps = sample.take(Viewpoints).map(_.vec)
+      val obs = sample.slice(Viewpoints, Viewpoints + Others).map(_.vec)
       // distance grid: deciles of the global pair-distance distribution
       val grid = (1 to 19).map(i => pairDists.quantile(i / 20.0)).toArray
       val cdfs = vps.map { v =>

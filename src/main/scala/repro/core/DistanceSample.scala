@@ -8,20 +8,16 @@ import scala.util.Random
   * the Table-2 query radius (the "nearest 8%" quantile), and the cost
   * models. The paper justifies using one global F per dataset by the high
   * homogeneity of viewpoints (HV ≥ 0.9) of all datasets.
+  *
+  * Over one sorted column of projected coordinates instead of pair
+  * distances, the same class is the per-dimension CDF G_i of the R-tree
+  * cost model (Eq. 8, `CostModel.cdfPerDim`).
   */
 final class EmpiricalDistances(val sorted: Array[Double]) extends Serializable {
   require(sorted.nonEmpty, "empty distance sample")
 
   /** F(x): fraction of sampled pair distances ≤ x. */
-  def cdf(x: Double): Double = {
-    var lo = 0
-    var hi = sorted.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (sorted(mid) <= x) lo = mid + 1 else hi = mid
-    }
-    lo.toDouble / sorted.length
-  }
+  def cdf(x: Double): Double = StableOrder.bound(sorted, x, upper = true).toDouble / sorted.length
 
   /** F⁻¹(q): the q-quantile of pair distances, q ∈ [0, 1]. */
   def quantile(q: Double): Double = {
@@ -34,14 +30,16 @@ final class EmpiricalDistances(val sorted: Array[Double]) extends Serializable {
 
 object EmpiricalDistances {
 
-  /** Pairwise distances among `vecs`, subsampled to at most `maxPairs`. */
-  def fromSample(vecs: Array[Array[Double]], maxPairs: Int = 50000, seed: Long = 7): EmpiricalDistances = {
+  private val MaxPairs = 50000
+
+  /** Pairwise distances among `vecs`, subsampled to at most `MaxPairs`. */
+  def fromSample(vecs: Array[Array[Double]], seed: Long = 7): EmpiricalDistances = {
     require(vecs.length >= 2, s"need >= 2 vectors, got ${vecs.length}")
     val n = vecs.length
     val totalPairs = n.toLong * (n - 1) / 2
     val rng = new Random(seed)
     val dists =
-      if (totalPairs <= maxPairs) {
+      if (totalPairs <= MaxPairs) {
         val out = new Array[Double](totalPairs.toInt)
         var idx = 0
         var i = 0
@@ -52,7 +50,7 @@ object EmpiricalDistances {
         }
         out
       } else {
-        Array.fill(maxPairs) {
+        Array.fill(MaxPairs) {
           val i = rng.nextInt(n)
           var j = rng.nextInt(n)
           while (j == i) j = rng.nextInt(n)

@@ -7,7 +7,9 @@ import scala.annotation.unused
   * behind the LScan baseline. One Spark action per query batch, the exact
   * probe: each partition verifies every one of its points against every
   * query and ships its top-k (`TopK.of`) through `TopK.gather`, and the
-  * driver merges them (`TopK.merge`).
+  * driver merges them (`TopK.merge`). Queries must be finite (checked on
+  * the driver) and of the data's dimension (checked in every task that
+  * holds points).
   */
 object GroundTruth {
 
@@ -15,12 +17,20 @@ object GroundTruth {
       @unused("the signature every caller uses; the job runs on the session of `points`") spark: SparkSession,
       points: Dataset[Point],
       queries: Array[Array[Double]],
-      k: Int): Array[Array[Neighbor]] =
+      k: Int): Array[Array[Neighbor]] = {
+    TopK.requireK(k)
+    Vec.requireFinite(queries)
     TopK.gather(points.rdd.glom(), queries) { part =>
       val ids = part.map(_.id)
-      // no radius: the within-c·r count is unused
-      q => TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
+      val d = if (part.isEmpty) 0 else part(0).vec.length
+      q => {
+        // a shorter query would be compared on its own coordinates only
+        require(part.isEmpty || q.length == d, s"a query has ${q.length} coordinates, the data has $d")
+        // no radius: the within-c·r count is unused
+        TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
+      }
     }.map(TopK.merge(_, k).neighbors)
+  }
 }
 
 /** The LScan baseline of §6.1: exact top-k over a random portion (default

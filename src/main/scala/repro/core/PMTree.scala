@@ -338,22 +338,28 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     * regions, improving both real pruning and the Eq. 7 cost estimate.
     * Hyper-rings are already exact (unions of exact pivot distances).
     */
-  private def tighten(): Unit = {
+  private def tighten(): Unit = eachRoute { (r, below) =>
+    var maxD = 0.0
+    below.foreach { o =>
+      val dd = Vec.dist(r.center, pts.proj, o * pts.m)
+      if (dd > maxD) maxD = dd
+    }
+    r.radius = maxD
+  }
+
+  /** Calls `f` on every routing entry with the slots of every leaf entry
+    * below it, depth first, an entry after the entries below it. */
+  private def eachRoute(f: (RoutingEntry, Array[Int]) => Unit): Unit = {
     def rec(node: Node): Array[Int] = node match {
       case l: Leaf => l.slots
       case in: Inner =>
         in.routes.toArray.flatMap { r =>
           val below = rec(r.child)
-          var maxD = 0.0
-          below.foreach { o =>
-            val dd = Vec.dist(r.center, pts.proj, o * pts.m)
-            if (dd > maxD) maxD = dd
-          }
-          r.radius = maxD
+          f(r, below)
           below
         }
     }
-    if (size > 0) rec(root)
+    rec(root)
   }
 
   /** Leaves, depth first with entries in order. */
@@ -398,23 +404,16 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     */
   def invariantViolations: Int = {
     var bad = 0
-    def rec(node: Node): Array[Int] = node match {
-      case l: Leaf => l.slots
-      case in: Inner =>
-        in.routes.toArray.flatMap { r =>
-          val below = rec(r.child)
-          below.foreach { o =>
-            if (Vec.dist(r.center, pts.proj, o * pts.m) > r.radius + 1e-9) bad += 1
-            var j = 0
-            while (j < s) {
-              if (pivotDists(o * s + j) < r.hrMin(j) - 1e-9 || pivotDists(o * s + j) > r.hrMax(j) + 1e-9) bad += 1
-              j += 1
-            }
-          }
-          below
+    eachRoute { (r, below) =>
+      below.foreach { o =>
+        if (Vec.dist(r.center, pts.proj, o * pts.m) > r.radius + 1e-9) bad += 1
+        var j = 0
+        while (j < s) {
+          if (pivotDists(o * s + j) < r.hrMin(j) - 1e-9 || pivotDists(o * s + j) > r.hrMax(j) + 1e-9) bad += 1
+          j += 1
         }
+      }
     }
-    rec(root)
     bad
   }
 }
@@ -432,7 +431,7 @@ object PMTree {
   }
 
   /** `build` over items that carry their projections, each row checked. */
-  def build(items: Array[IndexedPoint], pivots: Array[Array[Double]], capacity: Int = 16): PMTree = {
+  def build(items: Array[IndexedPoint], pivots: Array[Array[Double]], capacity: Int): PMTree = {
     val (points, proj, _) = IndexedPoint.rows(items)
     build(points, proj, pivots, capacity)
   }

@@ -40,8 +40,7 @@ trait PartIndex extends Serializable {
   }
 
   /** The candidates of `probe`, with their projected distances. */
-  def rangeSearch(qProj: Array[Double], r: Double,
-                  cap: Int = Int.MaxValue): Iterator[(IndexedPoint, Double)] = {
+  def rangeSearch(qProj: Array[Double], r: Double, cap: Int): Iterator[(IndexedPoint, Double)] = {
     val hits = candidates(qProj, r, cap)
     Iterator.tabulate(hits.size)(i => (points.point(hits.slots(i)), hits.dists(i)))
   }
@@ -69,6 +68,6 @@ final class RTreePart(val tree: RTree) extends PartIndex {
     tree.search(qProj, r, out)
 
   /** Incremental NN order for SRS: slots by ascending projected distance,
-    * with those distances. */
-  def incSlots(qProj: Array[Double]): Iterator[(Int, Double)] = tree.nearest(qProj, tally = false)
+    * with those distances; each stream counts into a `Hits` of its own. */
+  def incSlots(qProj: Array[Double]): Iterator[(Int, Double)] = tree.nearest(qProj, new Hits)
 }

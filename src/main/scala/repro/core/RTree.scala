@@ -17,9 +17,10 @@ case class RNodeSummary(nEntries: Int, lo: Array[Double], hi: Array[Double], isR
   * charges the R-tree for, and what SRS's R-tree actually looks like.
   *
   * Supports ball range queries (MINDIST pruning) and incremental nearest
-  * neighbor (Hjaltason–Samet best-first priority queue) for SRS's
-  * `incSearch`. `distCount` counts query-time point-distance computations,
-  * `nodeAccesses` counts visited nodes.
+  * neighbor (Hjaltason–Samet best-first priority queue), SRS's incSearch.
+  * Both count their visited nodes and point-distance computations into the
+  * caller's `Hits`; the boxed `range` adds its counts to `distCount` and
+  * `nodeAccesses`.
   *
   * Leaves hold slots of one flat payload (`Slots`). The tree is built once,
   * by `RTree.build`, on the projections alone; its payload is then filled
@@ -43,17 +44,8 @@ final class RTree(val capacity: Int) extends Serializable {
       else children.foreach(c => extendBy(c.lo, c.hi))
     }
 
-    def extendBy(l: Array[Double], h: Array[Double]): Unit = {
-      if (lo == null) { lo = l.clone(); hi = h.clone() }
-      else {
-        var i = 0
-        while (i < lo.length) {
-          if (l(i) < lo(i)) lo(i) = l(i)
-          if (h(i) > hi(i)) hi(i) = h(i)
-          i += 1
-        }
-      }
-    }
+    def extendBy(l: Array[Double], h: Array[Double]): Unit =
+      if (lo == null) { lo = l.clone(); hi = h.clone() } else extend(lo, hi, l, h)
   }
 
   /** The payload; while the tree is built, the projections alone, in input
@@ -77,6 +69,16 @@ final class RTree(val capacity: Int) extends Serializable {
     s
   }
 
+  /** Extends the box (lo, hi) in place to cover (l, h). */
+  private def extend(lo: Array[Double], hi: Array[Double], l: Array[Double], h: Array[Double]): Unit = {
+    var i = 0
+    while (i < lo.length) {
+      if (l(i) < lo(i)) lo(i) = l(i)
+      if (h(i) > hi(i)) hi(i) = h(i)
+      i += 1
+    }
+  }
+
   /** Margin increase of (lo, hi) if extended to cover (l, h). */
   private def enlargement(lo: Array[Double], hi: Array[Double],
                           l: Array[Double], h: Array[Double]): Double = {
@@ -97,13 +99,11 @@ final class RTree(val capacity: Int) extends Serializable {
     pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
     var slot = 0
     while (slot < points.length) { insert(slot); slot += 1 }
-    val leaves = new ArrayBuffer[Node]()
-    def rec(n: Node): Unit = if (n.isLeaf) leaves += n else n.children.foreach(rec)
-    rec(root)
-    val order = leaves.flatMap(_.slots).toArray
+    val ls = leaves
+    val order = ls.flatMap(_.slots).toArray
     pts = Slots.of(points, proj, m, order)
     var next = 0
-    leaves.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
+    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
   }
 
   private def insert(slot: Int): Unit = {
@@ -189,14 +189,6 @@ final class RTree(val capacity: Int) extends Serializable {
     val lo2 = los(s2).clone(); val hi2 = his(s2).clone()
     g1 += entries(s1)
     g2 += entries(s2)
-    def extend(lo: Array[Double], hi: Array[Double], l: Array[Double], h: Array[Double]): Unit = {
-      var i = 0
-      while (i < lo.length) {
-        if (l(i) < lo(i)) lo(i) = l(i)
-        if (h(i) > hi(i)) hi(i) = h(i)
-        i += 1
-      }
-    }
     var i = 0
     val n = entries.length
     var remaining = n - 2
@@ -289,46 +281,42 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  /** Incremental NN in the projected space: points in non-decreasing order
-    * of projected distance to q (SRS's incSearch). Lazy — pull as needed.
-    */
-  def incSearch(q: Array[Double]): Iterator[(IndexedPoint, Double)] =
-    nearest(q, tally = true).map { case (slot, pd) => (pts.point(slot), pd) }
-
-  /** `incSearch` as slots; `tally` adds its work to `distCount` and
-    * `nodeAccesses`. */
-  private[core] def nearest(q: Array[Double], tally: Boolean): Iterator[(Int, Double)] = {
+  /** Incremental NN in the projected space (SRS's incSearch): slots in
+    * non-decreasing order of projected distance to q, with those
+    * distances, counting into `out` the visited nodes and one distance per
+    * point of a visited leaf. Lazy: a node is visited only when the next
+    * element is pulled. */
+  private[core] def nearest(q: Array[Double], out: Hits): Iterator[(Int, Double)] = {
     if (size == 0) return Iterator.empty
     val proj = pts.proj
     val m = pts.m
-    val pq = mutable.PriorityQueue.empty[(Double, AnyRef)](Ordering.by((e: (Double, AnyRef)) => -e._1))
-    pq.enqueue((minSqDist(q, root.lo, root.hi), root))
+    // a node to visit, or (node null) a slot to emit, by squared distance
+    val pq = mutable.PriorityQueue.empty[(Double, Node, Int)](Ordering.by((e: (Double, Node, Int)) => -e._1))
+    pq.enqueue((minSqDist(q, root.lo, root.hi), root, -1))
     new Iterator[(Int, Double)] {
       private var nextItem: (Int, Double) = null
       private def advance(): Unit = {
         while (nextItem == null && pq.nonEmpty) {
-          val (key, ref) = pq.dequeue()
-          ref match {
-            case node: Node =>
-              if (tally) nodeAccesses += 1
-              if (node.isLeaf) {
-                if (tally) distCount += node.slots.length
-                var i = 0
-                while (i < node.slots.length) {
-                  val slot = node.slots(i)
-                  pq.enqueue((Vec.sqDist(q, proj, slot * m), Int.box(slot)))
-                  i += 1
-                }
-              } else {
-                var i = 0
-                while (i < node.children.length) {
-                  val c = node.children(i)
-                  pq.enqueue((minSqDist(q, c.lo, c.hi), c))
-                  i += 1
-                }
+          val (key, node, slot) = pq.dequeue()
+          if (node == null) nextItem = (slot, math.sqrt(key))
+          else {
+            out.nodeAccesses += 1
+            if (node.isLeaf) {
+              out.distCount += node.slots.length
+              var i = 0
+              while (i < node.slots.length) {
+                val slot = node.slots(i)
+                pq.enqueue((Vec.sqDist(q, proj, slot * m), null, slot))
+                i += 1
               }
-            case slot: Integer =>
-              nextItem = (slot.intValue, math.sqrt(key))
+            } else {
+              var i = 0
+              while (i < node.children.length) {
+                val c = node.children(i)
+                pq.enqueue((minSqDist(q, c.lo, c.hi), c, -1))
+                i += 1
+              }
+            }
           }
         }
       }
@@ -340,14 +328,16 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  /** All stored items, leaf by leaf (test support). */
-  def items: ArrayBuffer[IndexedPoint] = {
-    val out = new ArrayBuffer[IndexedPoint]()
-    def rec(n: Node): Unit =
-      if (n.isLeaf) out ++= n.slots.map(pts.point) else n.children.foreach(rec)
-    if (size > 0) rec(root)
+  /** Leaves, depth first with entries in order. */
+  private def leaves: ArrayBuffer[Node] = {
+    val out = new ArrayBuffer[Node]()
+    def rec(n: Node): Unit = if (n.isLeaf) out += n else n.children.foreach(rec)
+    rec(root)
     out
   }
+
+  /** All stored items, leaf by leaf (test support). */
+  def items: ArrayBuffer[IndexedPoint] = leaves.flatMap(_.slots.map(pts.point))
 
   /** Node summaries for the Table-2 cost model (Eq. 9). */
   def nodeSummaries: Seq[RNodeSummary] = {
@@ -393,7 +383,7 @@ object RTree {
   }
 
   /** `build` over items that carry their projections, each row checked. */
-  def build(items: Array[IndexedPoint], capacity: Int = 16): RTree = {
+  def build(items: Array[IndexedPoint], capacity: Int): RTree = {
     val (points, proj, m) = IndexedPoint.rows(items)
     build(points, proj, m, capacity)
   }

@@ -126,19 +126,21 @@ final class RangeLsh(
     math.max(params.rminShrink * distances.quantile(target), 1e-9)
   }
 
+  /** Each partition's share of the candidate budget βn + k. Algorithm 2
+    * line 7 stops searching at βn + k points; with random partitioning each
+    * partition holds ~1/P of any candidate set, so an even per-partition
+    * share (with 20% headroom for imbalance) realizes the same early stop
+    * distributively. */
+  private def partCap(k: Int): Int = math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toInt + k
+
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once: each round
     * range-searches every partition at t·r. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    val budget = betaNk(k)
     val tt = t
-    // Algorithm 2 line 7 stops searching at beta*n + k points; with random
-    // partitioning each partition holds ~1/P of any candidate set, so an
-    // even per-partition share (with 20% headroom for imbalance) realizes
-    // the same early stop distributively.
-    val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + k
+    val cap = partCap(k)
     val f = family
-    TopK.radiusRounds(indexes, queries, k, n, budget, rMin(k), params.c)(q => (q, f.project(q))) {
-      case (part, (q, qp), r, cr) => part.probe(q, qp, tt * r, partCap, k, cr)
+    TopK.radiusRounds(indexes, queries, k, n, betaNk(k), rMin(k), params.c)(q => (q, f.project(q))) {
+      case (part, (q, qp), r, cr) => part.probe(q, qp, tt * r, cap, k, cr)
     }
   }
 
@@ -148,14 +150,13 @@ final class RangeLsh(
   def ballCover(q: Array[Double], r: Double): Option[Neighbor] = {
     Vec.requireFinite(Array(q))
     val qp = family.project(q)
-    val budget = betaNk(0) + 1
-    val partCap = math.ceil(1.2 * budget.toDouble / params.partitions).toInt + 1
+    val cap = partCap(1)
     // each partition ships its candidate count and its closest candidate
     val rows = TopK.gather(indexes, Array((q, qp, t * r, params.c * r))) { part =>
-      { case (qv, qpp, rr, cr) => part.probe(qv, qpp, rr, partCap, 1, cr) }
+      { case (qv, qpp, rr, cr) => part.probe(qv, qpp, rr, cap, 1, cr) }
     }
     val res = TopK.merge(rows.head, 1)
-    Option.when(res.count >= budget || res.withinCr >= 1)(res.neighbors.head)
+    Option.when(res.count >= betaNk(1) || res.withinCr >= 1)(res.neighbors.head)
   }
 
   def unpersist(): Unit = indexes.unpersist()

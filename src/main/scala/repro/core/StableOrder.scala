@@ -1,6 +1,7 @@
 package repro.core
 
-/** Stable argsorts on primitive index arrays, so no index is boxed. */
+/** Stable argsorts on primitive index arrays, so no index is boxed, and the
+  * binary search for a bound in a sorted array. */
 object StableOrder {
 
   /** 0 until n in the order of `cmp`, equal elements in ascending order: a
@@ -48,4 +49,18 @@ object StableOrder {
     * `values.indices.sortBy(values(_))`. */
   def of(values: Array[Double]): Array[Int] =
     apply(values.length, (i, j) => java.lang.Double.compare(values(i), values(j)))
+
+  /** The first index of the ascending `a` whose value is ≥ x (`upper`
+    * false) or > x (`upper` true), or a.length if there is none. It
+    * compares with the primitive `<` and `==`, so -0.0 equals 0.0 and a
+    * NaN x gives 0. */
+  def bound(a: Array[Double], x: Double, upper: Boolean): Int = {
+    var lo = 0
+    var hi = a.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < x || (upper && a(mid) == x)) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
 }

@@ -64,6 +64,7 @@ object TopK {
   def radiusRounds[P, Q: ClassTag](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long,
                                    budget: Long, r0: Double, c: Double)(prepare: Array[Double] => Q)(
                                    probe: (P, Q, Double, Double) => TopK): Array[QueryResult] = {
+    requireK(k)
     Vec.requireFinite(queries)
     val prepared = queries.map(prepare)
     val radii = Array.fill(queries.length)(r0)
@@ -84,6 +85,10 @@ object TopK {
     }
     results
   }
+
+  /** Rejects an answer size k < 1: a kNN query asks for at least one
+    * neighbour. */
+  def requireK(k: Int): Unit = require(k >= 1, s"k must be at least 1, got $k")
 
   /** Positions of the k smallest `dists`, ascending, equal distances in input
     * order: the first k positions of a stable sort under the same total

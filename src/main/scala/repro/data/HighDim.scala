@@ -34,9 +34,7 @@ case class HighDimConfig(
     paperN: Double,
     paperHV: Double,
     paperRC: Double,
-    paperLID: Double,
-    scaleSpread: Double = 1.0,
-    jitterFrac: Double = 0.5) {
+    paperLID: Double) {
   def scaled(scale: Double): HighDimConfig =
     copy(n = math.max(64L, math.round(n * scale)))
 }
@@ -98,11 +96,11 @@ object HighDim {
         // fixed projection family could amplify wholesale (curved-manifold
         // surrogate; bounds correlated recall loss per query)
         val variant = rng.nextInt(8)
-        // log-uniform per-point scale: spreads neighborhood radii smoothly
-        // (real data has a smooth local distance spectrum; a single scale
-        // concentrates all non-NN distances into one shell, which makes
-        // every radius choice borderline)
-        val spread = math.exp((rng.nextDouble() - 0.5) * 2.0 * cfg.scaleSpread)
+        // log-uniform per-point scale in [1/e, e]: spreads neighborhood
+        // radii smoothly (real data has a smooth local distance spectrum; a
+        // single scale concentrates all non-NN distances into one shell,
+        // which makes every radius choice borderline)
+        val spread = math.exp((rng.nextDouble() - 0.5) * 2.0)
         val sigma = cfg.clusterStd * spread
         // decaying subspace spectrum: ~r dominant directions out of 5r
         // (participation ratio ≈ r, so LID ≈ r) instead of a flat r-dim
@@ -113,9 +111,9 @@ object HighDim {
         val w = Array.tabulate(rSub)(j => math.exp(-j.toDouble / r))
         val wNorm = math.sqrt(w.map(x => x * x).sum)
         val z = Array.tabulate(rSub)(j => rng.nextGaussian() * sigma * w(j) / wNorm)
-        // isotropic jitter: difference vectors of real descriptors span the
-        // full space generically
-        val jitter = sigma * cfg.jitterFrac
+        // isotropic jitter of half the cluster scale: difference vectors of
+        // real descriptors span the full space generically
+        val jitter = sigma * 0.5
         val center = cs(c)
         Array.tabulate(cfg.d) { i =>
           var disp = 0.0
@@ -163,6 +161,6 @@ object HighDim {
   )
 
   /** Small clustered dataset for unit tests. */
-  def testConfig(n: Long = 1000, d: Int = 32, seed: Long = 5): HighDimConfig =
+  def testConfig(n: Long, d: Int, seed: Long): HighDimConfig =
     HighDimConfig(s"test-$n-$d", n, d, 10, 6, 0.10, 0.05, seed, 0, 0, 0, 0)
 }

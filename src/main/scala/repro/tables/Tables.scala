@@ -43,24 +43,24 @@ object Tables {
     "Deep"  -> ((964451L, 1017604L, 5)))
 
   /** Table 2: build one PM-tree and one R-tree over all projected points of
-    * each dataset (m = 15, capacity 16), estimate CC(range(q, r)) from
-    * Eqs. 7 and 9 with r the radius that returns ≈ the nearest 8% of all
-    * points (§4.2).
+    * each dataset at the §6.1 operating point (`LshParams`: m = 15, s = 5,
+    * capacity 16, seed 42), estimate CC(range(q, r)) from Eqs. 7 and 9 with
+    * r the radius that returns ≈ the nearest 8% of all points (§4.2).
     */
-  def table2(spark: SparkSession, scale: Double = 1.0, m: Int = 15,
-             capacity: Int = 16, s: Int = 5, seed: Long = 42): Seq[Table2Row] = {
+  def table2(spark: SparkSession, scale: Double = 1.0): Seq[Table2Row] = {
+    val p = LshParams()
     configs(scale).map { cfg =>
       val points = HighDim.generate(spark, cfg).collect()
-      val fam = new ProjectionFamily(cfg.d, m, seed)
-      val proj = points.map(p => fam.project(p.vec))
+      val fam = new ProjectionFamily(cfg.d, p.m, p.seed)
+      val proj = points.map(pt => fam.project(pt.vec))
 
-      val projDists = EmpiricalDistances.fromSample(proj.take(600), seed = seed)
+      val projDists = EmpiricalDistances.fromSample(proj.take(600), seed = p.seed)
       val rq = projDists.quantile(0.08)
 
-      val pivots = PMTree.selectPivots(proj.take(500), s)
+      val pivots = PMTree.selectPivots(proj.take(500), p.s)
       val flat = proj.flatten
-      val ccPm = CostModel.pmTreeCost(PMTree.build(points, flat, pivots, capacity).nodeSummaries, projDists, rq)
-      val ccR = CostModel.rTreeCost(RTree.build(points, flat, m, capacity).nodeSummaries, CostModel.cdfPerDim(proj), rq)
+      val ccPm = CostModel.pmTreeCost(PMTree.build(points, flat, pivots, p.capacity).nodeSummaries, projDists, rq)
+      val ccR = CostModel.rTreeCost(RTree.build(points, flat, p.m, p.capacity).nodeSummaries, CostModel.cdfPerDim(proj), rq)
       val red = 100.0 * (1.0 - ccPm / math.max(ccR, 1e-9))
       val (ppm, pr, pred) = paperTable2(cfg.name)
       Table2Row(cfg.name, ccPm, ccR, red, ppm, pr, pred)
@@ -155,12 +155,7 @@ object Tables {
     * time); every engine gets one warm-up batch before timing so JIT and
     * Spark job-setup costs do not skew the first-measured algorithm.
     */
-  def table4ForDataset(
-      spark: SparkSession,
-      cfg: HighDimConfig,
-      k: Int = 50,
-      numQueries: Int = 20,
-      partitions: Int = 8): Table4Row = {
+  def table4ForDataset(spark: SparkSession, cfg: HighDimConfig, k: Int, numQueries: Int): Table4Row = {
     val points = HighDim.generate(spark, cfg).persist()
     points.count()
     val queries = HighDim.queryVecs(cfg, numQueries)
@@ -188,12 +183,12 @@ object Tables {
     // engine seeds are offset from the data seed: sharing the exact seed
     // would correlate hash directions with the generated data (see
     // ProjectionFamily; scrambled there too — belt and braces)
-    val params = LshParams(partitions = partitions, seed = cfg.seed + 7919)
+    val params = LshParams(seed = cfg.seed + 7919)
     val pmEngine = new RangeLsh(spark, points, params, usePmTree = true)
     val rEngine = new RangeLsh(spark, points, params, usePmTree = false)
     val srs = new Srs(spark, rEngine)
-    val qalsh = new Qalsh(spark, points, partitions = partitions, seed = cfg.seed + 15401)
-    val mp = new MultiProbe(spark, points, partitions = partitions, seed = cfg.seed + 23911)
+    val qalsh = new Qalsh(spark, points, seed = cfg.seed + 15401)
+    val mp = new MultiProbe(spark, points, seed = cfg.seed + 23911)
 
     val n = pmEngine.n
     val results = Seq(

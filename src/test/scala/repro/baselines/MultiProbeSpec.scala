@@ -245,6 +245,11 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
   }
 
+  test("knn rejects k < 1, naming k") {
+    val err = intercept[IllegalArgumentException](mp.knn(queries.take(1), 0))
+    assert(err.getMessage.contains("k must be at least 1, got 0"), err)
+  }
+
   test("with more partitions than points, the index builds and answers with data ids at true distances") {
     val tiny = HighDim.generate(spark, HighDim.testConfig(n = 5, d = 24, seed = 41))
     val e = new MultiProbe(spark, tiny, partitions = 8, seed = 3, probesPerTable = 300)

@@ -103,6 +103,11 @@ class QalshSpec extends SparkSpec with TimeLimits {
     failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
   }
 
+  test("knn rejects k < 1, naming k") {
+    val err = intercept[IllegalArgumentException](qalsh.knn(queries.take(1), 0))
+    assert(err.getMessage.contains("k must be at least 1, got 0"), err)
+  }
+
   test("collision candidates at radius r are a subset of those at c*r") {
     // knn carries no candidates across rounds; this nesting is why it need not
     val parts = qalsh.index.collect()

@@ -127,4 +127,9 @@ class SrsSpec extends SparkSpec with TimeLimits {
     val q = queries(0).clone(); q(3) = Double.NaN
     failAfter(20.seconds)(intercept[IllegalArgumentException](e.knn(Array(q), k)))
   }
+
+  test("knn rejects k < 1, naming k, instead of failing on an empty heap") {
+    val err = intercept[IllegalArgumentException](srs.knn(queries.take(1), 0))
+    assert(err.getMessage.contains("k must be at least 1, got 0"), err)
+  }
 }

@@ -6,23 +6,24 @@ import scala.util.Random
 /** The Table-2 cost models (Eqs. 4–9). */
 class CostModelSpec extends AnyFunSuite {
 
-  test("Cdf1D: empirical per-dimension CDF") {
-    val cdf = new CostModel.Cdf1D(Array(1.0, 2.0, 3.0, 4.0))
-    assert(cdf(0.5) == 0.0)
-    assert(cdf(1.0) == 0.25)
-    assert(cdf(2.5) == 0.5)
-    assert(cdf(10.0) == 1.0)
+  test("G_i: empirical per-dimension CDF") {
+    val g = CostModel.cdfPerDim(Array(4.0, 1.0, 3.0, 2.0).map(Array(_))).head
+    assert(g.cdf(0.5) == 0.0)
+    assert(g.cdf(1.0) == 0.25)
+    assert(g.cdf(2.5) == 0.5)
+    assert(g.cdf(10.0) == 1.0)
   }
 
-  test("Cdf1D rejects empty sample") {
-    intercept[IllegalArgumentException](new CostModel.Cdf1D(Array.empty))
+  test("G_i rejects an empty sample") {
+    intercept[IllegalArgumentException](new EmpiricalDistances(Array.empty))
+    intercept[IllegalArgumentException](CostModel.cdfPerDim(Array.empty))
   }
 
   test("cdfPerDim builds one CDF per dimension") {
     val projs = Array(Array(1.0, 10.0), Array(2.0, 20.0), Array(3.0, 30.0))
     val gs = CostModel.cdfPerDim(projs)
     assert(gs.length == 2)
-    assert(gs(0)(1.5) == 1.0 / 3 && gs(1)(15.0) == 1.0 / 3)
+    assert(gs(0).cdf(1.5) == 1.0 / 3 && gs(1).cdf(15.0) == 1.0 / 3)
   }
 
   test("isochoric cube side: exact in 1 and 2 dimensions") {

@@ -50,6 +50,30 @@ class GaussianLshSpec extends AnyFunSuite {
     assert(varr > m.toDouble && varr < 4.0 * m, s"var=$varr expected ~${2 * m}")
   }
 
+  test("Lemma 1: r'^2 / r^2 follows chi2(m), KS distance below the alpha = 0.001 critical value") {
+    val d = 24
+    val m = 15
+    val families = 2000
+    val rng = new Random(3)
+    // fixed pairs, each projected by the same 2 000 fixed-seed families
+    for (pair <- 0 until 3) {
+      val o1 = Array.fill(d)(rng.nextDouble())
+      val o2 = Array.fill(d)(rng.nextDouble() * (pair + 1))
+      val r2 = Vec.sqDist(o1, o2)
+      val ratios = Array.tabulate(families) { s =>
+        val f = new ProjectionFamily(d, m, 5000 + s)
+        Vec.sqDist(f.project(o1), f.project(o2)) / r2
+      }
+      java.util.Arrays.sort(ratios)
+      // the empirical CDF steps from i/N to (i + 1)/N at the i-th ratio
+      val ks = ratios.indices.map { i =>
+        val c = ChiSquared.cdf(ratios(i), m)
+        math.max((i + 1).toDouble / families - c, c - i.toDouble / families)
+      }.max
+      assert(ks < 1.95 / math.sqrt(families.toDouble), s"pair $pair: KS distance $ks")
+    }
+  }
+
   test("Lemma 2: r-hat = r'/sqrt(m) is unbiased within sampling error") {
     val d = 24
     val rng = new Random(9)

@@ -92,4 +92,35 @@ class GroundTruthSpec extends SparkSpec {
   test("empty query batch") {
     assert(GroundTruth.knnBatch(spark, points, Array.empty, 5).isEmpty)
   }
+
+  test("knnBatch and LinearScan reject k < 1, naming k") {
+    Seq[Int => Any](GroundTruth.knnBatch(spark, points, queries, _), LinearScan.knn(spark, points, queries, _)).foreach { run =>
+      val err = intercept[IllegalArgumentException](run(0))
+      assert(err.getMessage.contains("k must be at least 1, got 0"), err)
+    }
+  }
+
+  /** knnBatch over `qs` fails with an IllegalArgumentException (possibly
+    * wrapped by Spark) whose message contains `msg`. */
+  private def assertRejects(qs: Array[Array[Double]], msg: String): Unit = {
+    val e = intercept[Exception](GroundTruth.knnBatch(spark, points, qs, 3))
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.exists(_.getMessage.contains(msg)), e)
+  }
+
+  test("knnBatch rejects a query shorter than the data instead of comparing its first coordinates") {
+    assertRejects(Array(queries(0), queries(1).take(3)), "a query has 3 coordinates, the data has 4")
+  }
+
+  test("knnBatch rejects a query longer than the data") {
+    assertRejects(Array(queries(0) :+ 0.5), "a query has 5 coordinates, the data has 4")
+  }
+
+  test("knnBatch rejects NaN and infinite query coordinates") {
+    Seq(Double.NaN, Double.NegativeInfinity).foreach { x =>
+      val q = queries(1).clone(); q(2) = x
+      assertRejects(Array(queries(0), q), "query 1 has a non-finite coordinate")
+    }
+  }
 }

@@ -22,6 +22,10 @@ class RTreeSpec extends AnyFunSuite {
     }
   }
 
+  /** SRS's incSearch order from `nearest`, each slot read as its point. */
+  private def incSearch(tree: RTree, q: Array[Double]): Iterator[(IndexedPoint, Double)] =
+    tree.nearest(q, new Hits).map { case (slot, pd) => (tree.points.point(slot), pd) }
+
   private val configs = for {
     (n, m, cap) <- Seq((40, 3, 4), (200, 5, 8), (500, 15, 16), (1000, 15, 16), (300, 8, 6),
                        (120, 2, 4))
@@ -50,7 +54,7 @@ class RTreeSpec extends AnyFunSuite {
       val items = randomItems(n, m, 321 + n)
       val tree = RTree.build(items, cap)
       val q = Array.fill(m)(5.0)
-      val got = tree.incSearch(q).toArray
+      val got = incSearch(tree, q).toArray
       assert(got.length == n, "incSearch must enumerate every point")
       // distances are non-decreasing and correct
       got.sliding(2).foreach {
@@ -66,24 +70,25 @@ class RTreeSpec extends AnyFunSuite {
   test("incSearch is lazy: taking k pulls far fewer than n point distances") {
     val items = randomItems(5000, 8, 77, clustered = true)
     val tree = RTree.build(items, 16)
-    tree.resetCounters()
-    val top10 = tree.incSearch(items(3).proj).take(10).toArray
+    val hits = new Hits
+    val top10 = tree.nearest(items(3).proj, hits).take(10).toArray
     assert(top10.length == 10)
-    assert(tree.distCount < 5000, s"distCount=${tree.distCount}")
+    assert(hits.distCount < 5000, s"distCount=${hits.distCount}")
+    assert(hits.nodeAccesses > 0 && tree.distCount == 0 && tree.nodeAccesses == 0)
   }
 
   test("empty tree: empty range, empty incSearch") {
     val tree = RTree.build(Array.empty[IndexedPoint], 8)
     assert(tree.size == 0)
     assert(tree.range(Array(0.0), 10.0).isEmpty)
-    assert(!tree.incSearch(Array(0.0)).hasNext)
+    assert(!incSearch(tree, Array(0.0)).hasNext)
   }
 
   test("single item tree") {
     val tree = RTree.build(Array(IndexedPoint(7L, Array(1.0, 2.0), Array.empty)), 8)
     assert(tree.size == 1)
     assert(tree.range(Array(1.0, 2.0), 0.1).map(_._1.id).toSeq == Seq(7L))
-    assert(tree.incSearch(Array(0.0, 0.0)).toSeq.map(_._1.id) == Seq(7L))
+    assert(incSearch(tree, Array(0.0, 0.0)).toSeq.map(_._1.id) == Seq(7L))
   }
 
   test("duplicate points all returned") {

@@ -168,6 +168,15 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("knn rejects k < 1, naming k") {
+    Seq(pmEngine, rEngine).foreach { e =>
+      Seq(0, -1).foreach { bad =>
+        val err = intercept[IllegalArgumentException](e.knn(queries.take(1), bad))
+        assert(err.getMessage.contains(s"k must be at least 1, got $bad"), err)
+      }
+    }
+  }
+
   test("ballCover rejects NaN query coordinates") {
     val pm = pmEngine
     failAfter(20.seconds) {

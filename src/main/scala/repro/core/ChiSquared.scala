@@ -106,8 +106,4 @@ object ChiSquared {
     val p = regularizedGammaP(0.5, x * x / 2.0) // = erf(|x|/√2)
     if (x >= 0) 0.5 * (1.0 + p) else 0.5 * (1.0 - p)
   }
-
-  /** Standard normal pdf φ(x). */
-  def normalPdf(x: Double): Double =
-    math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.Pi)
 }

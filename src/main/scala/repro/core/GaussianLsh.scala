@@ -62,20 +62,6 @@ final class BucketedLsh(val family: ProjectionFamily, val w: Double, bSeed: Long
 
 object GaussianLsh {
 
-  /** Collision probability p(τ) of Eq. 2 for bucketed hashes, in the Datar
-    * et al. closed form for the 2-stable case:
-    * p(τ) = 2Φ(w/τ) − 1 − (2τ/(√(2π)·w))·(1 − e^{−w²/(2τ²)}).
-    */
-  def collisionProb(tau: Double, w: Double): Double = {
-    require(w > 0, "w must be positive")
-    if (tau <= 0) 1.0
-    else {
-      val t = w / tau
-      2 * ChiSquared.normalCdf(t) - 1 -
-        (2.0 / (math.sqrt(2 * math.Pi) * t)) * (1 - math.exp(-t * t / 2.0))
-    }
-  }
-
   /** Query-aware collision probability used by QALSH: the probability that
     * |a·(o − q)| ≤ w/2 at distance τ, i.e. 2Φ(w/(2τ)) − 1.
     */

@@ -7,9 +7,10 @@ import scala.annotation.unused
   * behind the LScan baseline. One Spark action per query batch, the exact
   * probe: each partition verifies every one of its points against every
   * query and ships its top-k (`TopK.of`) through `TopK.gather`, and the
-  * driver merges them (`TopK.merge`). Queries must be finite (checked on
-  * the driver) and of the data's dimension (checked in every task that
-  * holds points).
+  * driver merges them (`TopK.merge`). Queries must be finite and of the
+  * data's dimension d, read from its first point (checked on the driver);
+  * every data row must have d finite coordinates, as `Points.indexed`
+  * requires of the engines' rows (checked in every task that holds it).
   */
 object GroundTruth {
 
@@ -20,15 +21,16 @@ object GroundTruth {
       k: Int): Array[Array[Neighbor]] = {
     TopK.requireK(k)
     Vec.requireFinite(queries)
+    if (queries.isEmpty) return Array.empty
+    // no points, no dimension: every answer is empty
+    val d = points.take(1).headOption.fold(-1)(_.vec.length)
+    // a shorter query would be compared on its own coordinates only
+    queries.foreach(q => require(d < 0 || q.length == d, s"a query has ${q.length} coordinates, the data has $d"))
     TopK.gather(points.rdd.glom(), queries) { part =>
+      part.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
       val ids = part.map(_.id)
-      val d = if (part.isEmpty) 0 else part(0).vec.length
-      q => {
-        // a shorter query would be compared on its own coordinates only
-        require(part.isEmpty || q.length == d, s"a query has ${q.length} coordinates, the data has $d")
-        // no radius: the within-c·r count is unused
-        TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
-      }
+      // no radius: the within-c·r count is unused
+      q => TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
     }.map(TopK.merge(_, k).neighbors)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Arrays
+
 /** A per-partition index over the projected space. One instance is built
   * inside `mapPartitions` per Spark partition and kept as a live object of
   * an `RDD[PartIndex]` persisted `MEMORY_ONLY`, so a query round reads it
@@ -25,32 +27,38 @@ trait PartIndex extends Serializable {
 
   /** Points with projected distance ≤ r from qProj; when there are more than
     * `cap`, the `cap` nearest by projected distance (equal distances in
-    * traversal order). When the ball holds more than the candidate budget
-    * (Algorithm 2 stops at βn + k), the best distance *estimates* (§3.2,
-    * point-to-point) are the ones worth verifying: truncating in traversal
-    * order would drop true neighbors arbitrarily. Projected distances are
-    * m-dimensional and already paid for inside the tree; only the kept
-    * candidates incur d-dimensional verification.
+    * traversal order), kept in traversal order (`Hits.keepWithin`). When
+    * the ball holds more than the candidate budget (Algorithm 2 stops at
+    * βn + k), the best distance *estimates* (§3.2, point-to-point) are the
+    * ones worth verifying: truncating in traversal order would drop true
+    * neighbors arbitrarily. Projected distances are m-dimensional and
+    * already paid for inside the tree; only the kept candidates incur
+    * d-dimensional verification. Also returns whether the cap cut.
     */
-  private def candidates(qProj: Array[Double], r: Double, cap: Int): Hits = {
+  private def candidates(qProj: Array[Double], r: Double, cap: Int): (Hits, Boolean) = {
     val hits = new Hits
     search(qProj, r, hits)
-    hits.keepNearest(cap)
-    hits
+    (hits, hits.keepWithin(cap))
   }
 
-  /** The candidates of `probe`, with their projected distances. */
+  /** The candidates of `probe`, with their projected distances: in
+    * traversal order when the cap did not cut, else ascending by projected
+    * distance, equal distances in traversal order. */
   def rangeSearch(qProj: Array[Double], r: Double, cap: Int): Iterator[(IndexedPoint, Double)] = {
-    val hits = candidates(qProj, r, cap)
-    Iterator.tabulate(hits.size)(i => (points.point(hits.slots(i)), hits.dists(i)))
+    val (hits, cut) = candidates(qProj, r, cap)
+    val order = if (cut) StableOrder.of(Arrays.copyOf(hits.dists, hits.size)) else Array.range(0, hits.size)
+    order.iterator.map(i => (points.point(hits.slots(i)), hits.dists(i)))
   }
 
   /** One query's round on this partition: the candidates within projected
-    * radius r (at most `cap`, see `rangeSearch`), verified against the
-    * original-space query q and summarized by `TopK.of`. */
+    * radius r (at most `cap`, see `candidates`), verified against the
+    * original-space query q and summarized by `TopK.of`. Where the cap cut,
+    * equal true distances are ordered by projected distance, then
+    * traversal order: the order of `rangeSearch`, so the answer is the one
+    * a verification of the candidates in that order gives. */
   def probe(q: Array[Double], qProj: Array[Double], r: Double, cap: Int, k: Int, cr: Double): TopK = {
-    val hits = candidates(qProj, r, cap)
-    points.verify(q, hits.slots, hits.size, k, cr)
+    val (hits, cut) = candidates(qProj, r, cap)
+    points.verify(q, hits.slots, hits.size, k, cr, if (cut) hits.dists else null)
   }
 }
 

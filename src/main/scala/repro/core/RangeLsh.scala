@@ -131,7 +131,7 @@ final class RangeLsh(
     * partition holds ~1/P of any candidate set, so an even per-partition
     * share (with 20% headroom for imbalance) realizes the same early stop
     * distributively. */
-  private def partCap(k: Int): Int = math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toInt + k
+  private[core] def partCap(k: Int): Int = math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toInt + k
 
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once: each round
     * range-searches every partition at t·r. */

@@ -25,17 +25,23 @@ final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array
   def dist(q: Array[Double], s: Int): Double = Vec.dist(q, vecs, s * d)
 
   /** The first `size` of `slots` verified against the original-space query
-    * q, in that order, and summarized by `TopK.of`. */
-  def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double): TopK = {
+    * q, in that order, and summarized by `TopK.of`; `ties`, when not null,
+    * orders equal true distances before their positions do (see
+    * `TopK.of`). Four slots at a time go through `Vec.sqDist4`, so every
+    * distance equals `dist(q, s)` bit for bit. */
+  def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double,
+             ties: Array[Double] = null): TopK = {
     val out = new Array[Long](size)
     val dists = new Array[Double](size)
     var i = 0
-    while (i < size) {
-      out(i) = ids(slots(i))
-      dists(i) = dist(q, slots(i))
-      i += 1
+    while (i + 4 <= size) {
+      Vec.sqDist4(q, vecs, slots(i) * d, slots(i + 1) * d, slots(i + 2) * d, slots(i + 3) * d, dists, i)
+      i += 4
     }
-    TopK.of(out, dists, k, cr)
+    while (i < size) { dists(i) = Vec.sqDist(q, vecs, slots(i) * d); i += 1 }
+    i = 0
+    while (i < size) { out(i) = ids(slots(i)); dists(i) = math.sqrt(dists(i)); i += 1 }
+    TopK.of(out, dists, k, cr, ties)
   }
 }
 
@@ -103,16 +109,57 @@ private[core] final class Hits {
     size += 1
   }
 
-  /** Keeps the `cap` nearest by projected distance, ascending, equal
-    * distances in traversal order (`StableOrder`); a result within the cap
-    * keeps its traversal order. */
-  def keepNearest(cap: Int): Unit = if (size > cap) {
-    val s = slots; val d = dists
-    val order = StableOrder(size, (i, j) => java.lang.Double.compare(d(i), d(j)))
-    slots = new Array[Int](cap); dists = new Array[Double](cap)
+  /** Keeps the `cap` nearest by projected distance, equal distances in
+    * traversal order, and returns whether it cut anything. The kept hits
+    * stay in traversal order: a quickselect on a copy of the distances
+    * finds v, the cap-th smallest, and one pass keeps every hit below v
+    * plus the first ties at v, the set a stable sort's first `cap` would
+    * hold. Distances are never NaN (each passed `≤ r`), so the primitive
+    * comparisons order them as `java.lang.Double.compare` does. */
+  def keepWithin(cap: Int): Boolean = size > cap && {
+    val v = Hits.select(Arrays.copyOf(dists, size), size, cap - 1)
+    var below = 0
     var i = 0
-    while (i < cap) { slots(i) = s(order(i)); dists(i) = d(order(i)); i += 1 }
-    size = cap
+    while (i < size) { if (dists(i) < v) below += 1; i += 1 }
+    var ties = cap - below
+    var kept = 0
+    i = 0
+    while (i < size) {
+      val d = dists(i)
+      if (d < v || (d == v && ties > 0)) {
+        if (d == v) ties -= 1
+        slots(kept) = slots(i); dists(kept) = d; kept += 1
+      }
+      i += 1
+    }
+    size = kept
+    true
+  }
+}
+
+private[core] object Hits {
+
+  /** The j-th smallest (from 0) of the first n values of `a`, which it
+    * reorders: Hoare's selection, pivoting on the median of three. */
+  def select(a: Array[Double], n: Int, j: Int): Double = {
+    var lo = 0
+    var hi = n - 1
+    while (lo < hi) {
+      val x = a(lo); val y = a((lo + hi) >>> 1); val z = a(hi)
+      val p = math.max(math.min(x, y), math.min(math.max(x, y), z))
+      var i = lo
+      var k = hi
+      while (i <= k) {
+        while (a(i) < p) i += 1
+        while (a(k) > p) k -= 1
+        if (i <= k) { val t = a(i); a(i) = a(k); a(k) = t; i += 1; k -= 1 }
+      }
+      // a(lo..k) ≤ p ≤ a(i..hi), and everything between equals p
+      if (j <= k) hi = k
+      else if (j >= i) lo = i
+      else return p
+    }
+    a(j)
   }
 }
 

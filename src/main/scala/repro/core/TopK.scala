@@ -6,7 +6,8 @@ import scala.reflect.ClassTag
 /** What one partition reports for one query in a round of Algorithms 1/2:
   * its candidate count |C_p|, how many of those lie within c·r, and its k
   * nearest verified candidates, ascending by distance with ties in
-  * range-result order. The driver needs no more: the termination tests use
+  * range-result order (`PartIndex.probe`: a capped partition's by
+  * projected distance first). The driver needs no more: the termination tests use
   * the sums of the two counts, and the answer (the k smallest of the union
   * of the C_p) is the k smallest of the union of the per-partition top-k.
   */
@@ -18,11 +19,13 @@ object TopK {
 
   /** Summary of one partition's verified candidates, given in range-result
     * order; `cr` is c·r, computed on the driver so every executor compares
-    * against the same double. */
-  def of(ids: Array[Long], dists: Array[Double], k: Int, cr: Double): TopK = {
+    * against the same double. Equal distances keep input order, or, when
+    * `ties` is given (one value per candidate), go by ascending `ties`
+    * first. */
+  def of(ids: Array[Long], dists: Array[Double], k: Int, cr: Double, ties: Array[Double] = null): TopK = {
     var within = 0
     dists.foreach(d => if (d <= cr) within += 1)
-    val pos = smallest(dists, k)
+    val pos = smallest(dists, k, ties)
     TopK(ids.length, within, pos.map(ids), pos.map(dists))
   }
 
@@ -90,19 +93,24 @@ object TopK {
     * neighbour. */
   def requireK(k: Int): Unit = require(k >= 1, s"k must be at least 1, got $k")
 
-  /** Positions of the k smallest `dists`, ascending, equal distances in input
-    * order: the first k positions of a stable sort under the same total
-    * order as `Ordering.Double`, kept in a sorted buffer of at most k. */
-  private[core] def smallest(dists: Array[Double], k: Int): Array[Int] = {
+  /** Positions of the k smallest `dists`, ascending, equal distances by
+    * ascending `ties` when given, then in input order: the first k
+    * positions of a stable sort under the same total order as
+    * `Ordering.Double`, kept in a sorted buffer of at most k. */
+  private[core] def smallest(dists: Array[Double], k: Int, ties: Array[Double] = null): Array[Int] = {
+    // > 0 when position a goes after position b
+    def cmp(a: Int, b: Int): Int = {
+      val c = java.lang.Double.compare(dists(a), dists(b))
+      if (c != 0 || ties == null) c else java.lang.Double.compare(ties(a), ties(b))
+    }
     val buf = new Array[Int](math.max(0, math.min(k, dists.length)))
     var size = 0
     var i = 0
     while (i < dists.length && buf.length > 0) {
-      val d = dists(i)
-      if (size < buf.length || java.lang.Double.compare(d, dists(buf(size - 1))) < 0) {
-        // insert after every entry <= d; when full, the last entry drops out
+      if (size < buf.length || cmp(i, buf(size - 1)) < 0) {
+        // insert after every entry <= i; when full, the last entry drops out
         var j = if (size < buf.length) size else size - 1
-        while (j > 0 && java.lang.Double.compare(dists(buf(j - 1)), d) > 0) { buf(j) = buf(j - 1); j -= 1 }
+        while (j > 0 && cmp(buf(j - 1), i) > 0) { buf(j) = buf(j - 1); j -= 1 }
         buf(j) = i
         if (size < buf.length) size += 1
       }

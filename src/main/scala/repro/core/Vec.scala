@@ -33,6 +33,26 @@ object Vec {
     s
   }
 
+  /** ||a − row||² for four rows of `a.length` values of `flat`, starting at
+    * o0, o1, o2 and o3, written to out(at until at + 4). Each row's terms
+    * are summed in index order, as `sqDist(a, flat, o)` sums them, so each
+    * result equals that call's bit for bit. The four sums do not wait on
+    * each other, so their adds and their rows' loads overlap, where one
+    * row's chain `s += d·d` waits on every add and every cache miss. */
+  def sqDist4(a: Array[Double], flat: Array[Double], o0: Int, o1: Int, o2: Int, o3: Int,
+              out: Array[Double], at: Int): Unit = {
+    var s0, s1, s2, s3 = 0.0
+    var i = 0
+    while (i < a.length) {
+      val x = a(i)
+      val d0 = x - flat(o0 + i); val d1 = x - flat(o1 + i)
+      val d2 = x - flat(o2 + i); val d3 = x - flat(o3 + i)
+      s0 += d0 * d0; s1 += d1 * d1; s2 += d2 * d2; s3 += d3 * d3
+      i += 1
+    }
+    out(at) = s0; out(at + 1) = s1; out(at + 2) = s2; out(at + 3) = s3
+  }
+
   /** ||a − row|| for the row of `a.length` values starting at `flat(off)`. */
   def dist(a: Array[Double], flat: Array[Double], off: Int): Double = math.sqrt(sqDist(a, flat, off))
 

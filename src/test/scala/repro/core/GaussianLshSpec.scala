@@ -107,15 +107,15 @@ class GaussianLshSpec extends AnyFunSuite {
     val w = 4.0
     var prev = 1.0
     for (tau <- Seq(0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) {
-      val p = GaussianLsh.collisionProb(tau, w)
+      val p = Eq2.collisionProb(tau, w)
       assert(p < prev + 1e-12 && p > 0 && p < 1, s"tau=$tau p=$p")
       prev = p
     }
   }
 
   test("collision probability approaches 1 as tau -> 0") {
-    assert(GaussianLsh.collisionProb(1e-6, 4.0) > 0.999)
-    assert(GaussianLsh.collisionProb(0.0, 4.0) == 1.0)
+    assert(Eq2.collisionProb(1e-6, 4.0) > 0.999)
+    assert(Eq2.collisionProb(0.0, 4.0) == 1.0)
   }
 
   test("closed-form collision probability matches numeric integral of Eq. 2") {
@@ -129,11 +129,11 @@ class GaussianLshSpec extends AnyFunSuite {
       var i = 0
       while (i < steps) {
         val t = (i + 0.5) * dt
-        integral += (1.0 / tau) * ChiSquared.normalPdf(t / tau) * (1.0 - t / w) * dt
+        integral += (1.0 / tau) * Eq2.normalPdf(t / tau) * (1.0 - t / w) * dt
         i += 1
       }
       val numeric = 2.0 * integral // Eq. 2 integrates the positive side
-      val closed = GaussianLsh.collisionProb(tau, w)
+      val closed = Eq2.collisionProb(tau, w)
       assert(math.abs(numeric - closed) < 1e-4, s"tau=$tau numeric=$numeric closed=$closed")
     }
   }
@@ -151,11 +151,35 @@ class GaussianLshSpec extends AnyFunSuite {
 
   test("(r, cr, p1, p2)-sensitivity: p1 > p2 for c > 1") {
     val w = 4.0
-    val p1 = GaussianLsh.collisionProb(1.0, w)
-    val p2 = GaussianLsh.collisionProb(1.5, w)
+    val p1 = Eq2.collisionProb(1.0, w)
+    val p2 = Eq2.collisionProb(1.5, w)
     assert(p1 > p2)
     val q1 = GaussianLsh.queryAwareCollisionProb(1.0, w)
     val q2 = GaussianLsh.queryAwareCollisionProb(1.5, w)
     assert(q1 > q2)
+  }
+}
+
+/** Eq. 2's collision probability for bucketed hashes and the normal pdf its
+  * integral form needs; no engine reads them, so they live with the tests
+  * that check them. */
+private object Eq2 {
+
+  /** Standard normal pdf φ(x). */
+  def normalPdf(x: Double): Double =
+    math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.Pi)
+
+  /** Collision probability p(τ) of Eq. 2 for bucketed hashes, in the Datar
+    * et al. closed form for the 2-stable case:
+    * p(τ) = 2Φ(w/τ) − 1 − (2τ/(√(2π)·w))·(1 − e^{−w²/(2τ²)}).
+    */
+  def collisionProb(tau: Double, w: Double): Double = {
+    require(w > 0, "w must be positive")
+    if (tau <= 0) 1.0
+    else {
+      val t = w / tau
+      2 * ChiSquared.normalCdf(t) - 1 -
+        (2.0 / (math.sqrt(2 * math.Pi) * t)) * (1 - math.exp(-t * t / 2.0))
+    }
   }
 }

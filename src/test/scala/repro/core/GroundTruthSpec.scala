@@ -123,4 +123,20 @@ class GroundTruthSpec extends SparkSpec {
       assertRejects(Array(queries(0), q), "query 1 has a non-finite coordinate")
     }
   }
+
+  /** knnBatch over the first 100 points by id plus `bad` fails, naming it. */
+  private def rejectsRow(bad: Point): Unit =
+    assertBuildRejects(points, bad)(GroundTruth.knnBatch(spark, _, queries, 3))
+
+  test("knnBatch rejects a data row shorter than the data's dimension, naming the point") {
+    rejectsRow(Point(9001L, Array(0.1, 0.2, 0.3)))
+  }
+
+  test("knnBatch rejects a data row longer than the data's dimension instead of comparing its first coordinates") {
+    rejectsRow(Point(9002L, Array(0.1, 0.2, 0.3, 0.4, 0.5)))
+  }
+
+  test("knnBatch rejects a data row with a NaN coordinate instead of ranking it last") {
+    rejectsRow(Point(9003L, Array(0.1, Double.NaN, 0.3, 0.4)))
+  }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -41,18 +42,24 @@ class PartIndexSpec extends AnyFunSuite {
 
         val inRange = range(qp, r)
         assert(inRange.map(_._1.id).sorted == items.filter(p => Vec.dist(qp, p.proj) <= r).map(_.id).toSeq.sorted)
-        val kept = if (inRange.length <= cap) inRange else inRange.sortBy(_._2).take(cap)
-        if (kept.length < inRange.length) truncated += 1
-        val want = TopK.of(kept.map(_._1.id).toArray, kept.map(c => Vec.dist(q, c._1.vec)).toArray, k, cr)
-
-        val got = part.probe(q, qp, r, cap, k, cr)
-        assert(got.count == want.count && got.withinCr == want.withinCr, s"trial $trial")
-        assert(got.ids.toSeq == want.ids.toSeq && bits(got.dists) == bits(want.dists), s"trial $trial")
-        val cands = part.rangeSearch(qp, r, cap).toSeq
-        assert(cands.map(_._1.id) == kept.map(_._1.id) && cands.map(_._2) == kept.map(_._2))
+        if (inRange.length > cap) truncated += 1
+        checkProbe(part, inRange, q, qp, r, cap, k, cr, s"trial $trial")
       }
     }
     assert(truncated > 0, "no trial cut a range result at its cap")
+  }
+
+  /** `part.probe` and `part.rangeSearch` against the reference built from
+    * `inRange`, the ball in traversal order. */
+  private def checkProbe(part: PartIndex, inRange: IndexedSeq[(IndexedPoint, Double)], q: Array[Double],
+                         qp: Array[Double], r: Double, cap: Int, k: Int, cr: Double, clue: String): Unit = {
+    val kept = if (inRange.length <= cap) inRange else inRange.sortBy(_._2).take(cap)
+    val want = TopK.of(kept.map(_._1.id).toArray, kept.map(c => Vec.dist(q, c._1.vec)).toArray, k, cr)
+    val got = part.probe(q, qp, r, cap, k, cr)
+    assert(got.count == want.count && got.withinCr == want.withinCr, clue)
+    assert(got.ids.toSeq == want.ids.toSeq && bits(got.dists) == bits(want.dists), clue)
+    val cands = part.rangeSearch(qp, r, cap).toSeq
+    assert(cands.map(_._1.id) == kept.map(_._1.id) && cands.map(_._2) == kept.map(_._2), clue)
   }
 
   test("PMTreePart.probe equals the reference, with duplicates and truncating caps") {
@@ -67,6 +74,58 @@ class PartIndexSpec extends AnyFunSuite {
       val tree = RTree.build(items, 4)
       (new RTreePart(tree), tree.range _)
     }
+  }
+
+  test("the cap at ties: hits at the cap-th distance are taken in traversal order") {
+    // 60 points on three projected spheres around qp (distances 1, 2, 3 for
+    // 15, 30 and 15 of them) and on four true distances, so both the cap and
+    // TopK's order meet long runs of equal distances
+    val rng = new Random(5)
+    val qp = Array(0.0, 0.0, 0.0, 0.0)
+    val q = Array.fill(d)(0.0)
+    val axes = Array.tabulate(8)(j => Array.tabulate(m)(i => if (i == j / 2) (if (j % 2 == 0) 1.0 else -1.0) else 0.0))
+    val items = Array.tabulate(60) { i =>
+      val radius = if (i < 15) 1.0 else if (i < 45) 2.0 else 3.0
+      val vec = Array.fill(d)(0.0); vec(i % d) = (1 + rng.nextInt(4)).toDouble
+      IndexedPoint(i.toLong, axes(rng.nextInt(8)).map(_ * radius), vec)
+    }
+    val pm = PMTree.build(items, PMTree.selectPivots(items.map(_.proj), 3), 4)
+    val rt = RTree.build(items, 4)
+    Seq[(PartIndex, IndexedSeq[(IndexedPoint, Double)])](new PMTreePart(pm) -> pm.range(qp, 3.0),
+        new RTreePart(rt) -> rt.range(qp, 3.0)).foreach { case (part, inRange) =>
+      assert(inRange.length == 60)
+      for (cap <- Seq(1, 14, 15, 16, 30, 44, 45, 59, 60, 61); k <- Seq(1, 7, 60))
+        checkProbe(part, inRange, q, qp, 3.0, cap, k, 2.5, s"cap $cap, k $k")
+    }
+  }
+
+  test("Hits.keepWithin keeps, in traversal order, the first cap of a stable sort (scalacheck)") {
+    val gen = for {
+      n <- Gen.choose(0, 60)
+      dists <- Gen.listOfN(n, Gen.choose(0, 5).map(_ * 0.5))
+      cap <- Gen.choose(1, 70)
+    } yield (dists.toArray, cap)
+    val prop = Prop.forAll(gen) { case (dists, cap) =>
+      val hits = new Hits
+      dists.indices.foreach(i => hits.add(1000 + i, dists(i)))
+      val rank = new Array[Int](dists.length)
+      StableOrder.of(dists).zipWithIndex.foreach { case (pos, r) => rank(pos) = r }
+      val want = dists.indices.filter(rank(_) < cap)
+      val cut = hits.keepWithin(cap)
+      cut == (dists.length > cap) &&
+        hits.slots.take(hits.size).toSeq == want.map(1000 + _) &&
+        hits.dists.take(hits.size).toSeq == want.map(dists(_))
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)
+  }
+
+  test("Hits.select finds the j-th smallest (scalacheck)") {
+    val gen = for {
+      xs <- Gen.nonEmptyListOf(Gen.choose(-3, 3).map(_.toDouble))
+      j <- Gen.choose(0, xs.length - 1)
+    } yield (xs.toArray, j)
+    val prop = Prop.forAll(gen) { case (xs, j) => Hits.select(xs.clone(), xs.length, j) == xs.sorted.apply(j) }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)
   }
 
   test("a built tree numbers its slots in leaf order and keeps every point") {

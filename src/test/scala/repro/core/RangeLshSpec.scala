@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
@@ -243,5 +244,62 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
 
   test("building over empty data fails, saying the data is empty") {
     assertRejectsEmpty(new RangeLsh(spark, _, params, usePmTree = true))
+  }
+
+  /** For each query, the largest ball any partition of `e` holds over the
+    * radii of the rounds `res` ran, with the counts of `PartIndex.search`:
+    * the same radii, t·r0·cᶦ, that `knn` searches. */
+  private def largestBalls(e: RangeLsh, qs: Array[Array[Double]], res: Array[QueryResult], k: Int): Array[Int] = {
+    val (t, c) = (e.t, e.params.c)
+    val balls = qs.indices.map { i =>
+      (e.family.project(qs(i)), Iterator.iterate(e.rMin(k))(_ * c).take(res(i).rounds).map(t * _).toArray)
+    }
+    e.indexes.map { part =>
+      balls.map { case (qp, radii) => radii.map { r => val h = new Hits; part.search(qp, r, h); h.size }.max }
+    }.collect().reduce((a, b) => a.zip(b).map { case (x, y) => math.max(x, y) }).toArray
+  }
+
+  test("PM-LSH and R-LSH at P = 8 answer as at P = 1 whenever no partition's ball exceeds its cap (scalacheck)") {
+    // Low-dimensional uniform data, so the first-round ball holds about the
+    // candidate budget and often fits every cap. At most 300 points, so the
+    // distance sample is every pair at both P and r_min is the same.
+    val s = spark
+    import s.implicits._
+    val gen = for {
+      n <- Gen.choose(120, 300)
+      dim <- Gen.choose(1, 3)
+      seed <- Gen.choose(0L, 1000000L)
+    } yield (n, dim, seed)
+    var compared = 0
+    var skipped = 0
+    val prop = Prop.forAll(gen) { case (n, dim, seed) =>
+      val rng = new scala.util.Random(seed)
+      val data = Seq.tabulate(n)(i => Point(i.toLong, Array.fill(dim)(rng.nextDouble()))).toDS()
+      val qs = Array.fill(6)(Array.fill(dim)(rng.nextDouble()))
+      Seq(true, false).forall { pm =>
+        val (one, eight) = (new RangeLsh(spark, data, params.copy(partitions = 1), pm),
+          new RangeLsh(spark, data, params.copy(partitions = 8), pm))
+        val ok = Seq(1, 10, 40).forall { kk =>
+          val (r1, r8) = (one.knn(qs, kk), eight.knn(qs, kk))
+          val fit = largestBalls(one, qs, r1, kk).map(_ <= one.partCap(kk))
+            .zip(largestBalls(eight, qs, r8, kk).map(_ <= eight.partCap(kk))).map { case (a, b) => a && b }
+          qs.indices.forall { i =>
+            if (!fit(i)) { skipped += 1; true }
+            else {
+              compared += 1
+              def key(r: QueryResult) = (r.rounds, r.candidates, r.neighbors.toSeq.map(nb => (nb.id, java.lang.Double.doubleToRawLongBits(nb.dist))))
+              key(r1(i)) == key(r8(i))
+            }
+          }
+        }
+        one.unpersist(); eight.unpersist()
+        ok
+      }
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(6).withWorkers(1), prop).passed)
+    // the property must have compared many answers, and the precondition
+    // must have been checked, not assumed
+    info(s"compared $compared answers; skipped $skipped whose balls exceeded a cap")
+    assert(compared >= 100, s"compared $compared, skipped $skipped")
   }
 }

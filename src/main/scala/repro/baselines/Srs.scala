@@ -37,11 +37,21 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
     val streams = TopK.gather(engine.indexes, queries.map(q => (q, engine.family.project(q)))) { part =>
       val rt = part.asInstanceOf[RTreePart]
       val pts = rt.points
-      val cap = math.ceil(frac * rt.size).toInt + k
+      // ⌈T·n_local⌉ + k accesses, or every slot: the stream holds them all
+      val len = math.min(math.ceil(frac * rt.size).toLong + k, rt.size.toLong).toInt
       entry => {
         val (qv, qp) = entry
-        val seq = rt.incSlots(qp).take(cap).toArray
-        (seq.map(e => pts.ids(e._1)), seq.map(_._2), seq.map(e => pts.dist(qv, e._1)))
+        val ids = new Array[Long](len)
+        val pds = new Array[Double](len)
+        val slots = new Array[Int](len)
+        val it = rt.incSlots(qp)
+        var i = 0
+        while (i < len) {
+          val (s, pd) = it.next()
+          ids(i) = pts.ids(s); pds(i) = pd; slots(i) = s
+          i += 1
+        }
+        (ids, pds, pts.dists(qv, slots, len))
       }
     }
 

@@ -24,21 +24,21 @@ object DataStats {
   private val Viewpoints = 30
   private val Others = 300
 
-  def compute(
-      spark: SparkSession,
-      points: Dataset[Point],
-      sampleQueries: Int = 50,
-      kLid: Int = 100,
-      seed: Long): DatasetStats = {
+  /** RC and LID use the exact `KLid` + 1 nearest neighbours of this many
+    * sample points. */
+  private val SampleQueries = 50
+  private val KLid = 100
+
+  def compute(spark: SparkSession, points: Dataset[Point], seed: Long): DatasetStats = {
     val n = points.count()
-    val sample = points.limit(math.max(sampleQueries, Viewpoints + Others)).collect()
+    val sample = points.limit(math.max(SampleQueries, Viewpoints + Others)).collect()
     require(sample.nonEmpty, "empty dataset")
     val d = sample.head.vec.length
 
-    // exact (kLid+1)-NN of the sample queries; first neighbor is the point
+    // exact (KLid+1)-NN of the sample queries; first neighbor is the point
     // itself (distance 0) because queries are drawn from the dataset
-    val queries = sample.take(sampleQueries).map(_.vec)
-    val knn = GroundTruth.knnBatch(spark, points, queries, kLid + 1)
+    val queries = sample.take(SampleQueries).map(_.vec)
+    val knn = GroundTruth.knnBatch(spark, points, queries, KLid + 1)
     val nnDists = knn.map(_.map(_.dist).filter(_ > 1e-12))
 
     val meanNn = {
@@ -51,7 +51,7 @@ object DataStats {
 
     val lid = {
       val perQuery = nnDists.filter(_.length >= 2).map { ds =>
-        val rs = ds.take(kLid)
+        val rs = ds.take(KLid)
         val rk = rs.last
         val s = rs.map(r => math.log(r / rk)).sum / rs.length
         if (s >= -1e-12) Double.NaN else -1.0 / s

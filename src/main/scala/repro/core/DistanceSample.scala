@@ -32,8 +32,9 @@ object EmpiricalDistances {
 
   private val MaxPairs = 50000
 
-  /** Pairwise distances among `vecs`, subsampled to at most `MaxPairs`. */
-  def fromSample(vecs: Array[Array[Double]], seed: Long = 7): EmpiricalDistances = {
+  /** Pairwise distances among `vecs`, subsampled to at most `MaxPairs`
+    * pairs drawn with `seed`. */
+  def fromSample(vecs: Array[Array[Double]], seed: Long): EmpiricalDistances = {
     require(vecs.length >= 2, s"need >= 2 vectors, got ${vecs.length}")
     val n = vecs.length
     val totalPairs = n.toLong * (n - 1) / 2

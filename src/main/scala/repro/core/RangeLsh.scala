@@ -134,13 +134,16 @@ final class RangeLsh(
   private[core] def partCap(k: Int): Int = math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toInt + k
 
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once: each round
-    * range-searches every partition at t·r. */
+    * range-searches every partition at t·r, one round per job. Both
+    * workloads stop in the first round (`rangelsh.rounds_per_query` is 1),
+    * so a job over several radii would search and verify the wider balls
+    * for nothing. */
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     val tt = t
     val cap = partCap(k)
     val f = family
-    TopK.radiusRounds(indexes, queries, k, n, betaNk(k), rMin(k), params.c)(q => (q, f.project(q))) {
-      case (part, (q, qp), r, cr) => part.probe(q, qp, tt * r, cap, k, cr)
+    TopK.radiusRounds(indexes, queries, k, n, betaNk(k), rMin(k), params.c, levels = 1)(q => (q, f.project(q))) {
+      case (part, (q, qp), rs, crs) => Array.tabulate(rs.length)(j => part.probe(q, qp, tt * rs(j), cap, k, crs(j)))
     }
   }
 

@@ -21,27 +21,32 @@ final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array
   def point(s: Int): IndexedPoint =
     IndexedPoint(ids(s), projRow(s), Arrays.copyOfRange(vecs, s * d, s * d + d))
 
-  /** ||q − slot s's original vector||. */
-  def dist(q: Array[Double], s: Int): Double = Vec.dist(q, vecs, s * d)
+  /** ||q − slot s's original vector|| for the first `size` of `slots`, in
+    * that order. Four slots at a time go through `Vec.sqDist4`, so every
+    * distance equals `Vec.dist(q, vecs, s·d)` bit for bit. */
+  def dists(q: Array[Double], slots: Array[Int], size: Int): Array[Double] = {
+    val out = new Array[Double](size)
+    var i = 0
+    while (i + 4 <= size) {
+      Vec.sqDist4(q, vecs, slots(i) * d, slots(i + 1) * d, slots(i + 2) * d, slots(i + 3) * d, out, i)
+      i += 4
+    }
+    while (i < size) { out(i) = Vec.sqDist(q, vecs, slots(i) * d); i += 1 }
+    i = 0
+    while (i < size) { out(i) = math.sqrt(out(i)); i += 1 }
+    out
+  }
 
   /** The first `size` of `slots` verified against the original-space query
-    * q, in that order, and summarized by `TopK.of`; `ties`, when not null,
-    * orders equal true distances before their positions do (see
-    * `TopK.of`). Four slots at a time go through `Vec.sqDist4`, so every
-    * distance equals `dist(q, s)` bit for bit. */
+    * q (`dists`), in that order, and summarized by `TopK.of`; `ties`, when
+    * not null, orders equal true distances before their positions do (see
+    * `TopK.of`). */
   def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double,
              ties: Array[Double] = null): TopK = {
     val out = new Array[Long](size)
-    val dists = new Array[Double](size)
     var i = 0
-    while (i + 4 <= size) {
-      Vec.sqDist4(q, vecs, slots(i) * d, slots(i + 1) * d, slots(i + 2) * d, slots(i + 3) * d, dists, i)
-      i += 4
-    }
-    while (i < size) { dists(i) = Vec.sqDist(q, vecs, slots(i) * d); i += 1 }
-    i = 0
-    while (i < size) { out(i) = ids(slots(i)); dists(i) = math.sqrt(dists(i)); i += 1 }
-    TopK.of(out, dists, k, cr, ties)
+    while (i < size) { out(i) = ids(slots(i)); i += 1 }
+    TopK.of(out, dists(q, slots, size), k, cr, ties)
   }
 }
 

@@ -56,35 +56,51 @@ object TopK {
     } finally bcBatch.destroy()
   }
 
-  /** Algorithm 2's radius loop (§4.4), batched: every round is one `gather`
-    * of the still-active queries, each at its own radius r, starting at r0.
-    * A query finishes once its candidates reach `budget` or n, or k of them
-    * lie within c·r; otherwise r ← c·r. `prepare` turns a query into what
-    * the probes read (e.g. with its projection), once per query, and
-    * `probe(part, query, r, c·r)` runs one query's round on one partition;
-    * c·r is computed here, on the driver, so every executor compares against
-    * the same double. */
+  /** Algorithm 2's radius loop (§4.4), batched, `levels` radii per job:
+    * every job is one `gather` of the still-active queries, each at its
+    * own ladder r, c·r, …, c^(levels−1)·r, starting at r0. `prepare` turns
+    * a query into what the probes read (e.g. with its projection), once per
+    * query, and `probe(part, query, radii, crs)` runs one query's ladder on
+    * one partition and returns one `TopK` per radius; each radius's c·r
+    * (`crs`) is computed here, on the driver, so every executor compares
+    * against the same double. The driver merges the ladder level by level:
+    * at the first radius whose candidates reach `budget` or n, or k of
+    * which lie within c·r, the query finishes, and that radius counts as
+    * its round (job·levels + level + 1); a query no radius stops goes on in
+    * the next job at c^levels·r. Each rung is the r of r ← c·r applied that
+    * many times, so for any `levels` the answers, rounds and candidate
+    * counts are those of one job per radius (`levels` = 1). */
   def radiusRounds[P, Q: ClassTag](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long,
-                                   budget: Long, r0: Double, c: Double)(prepare: Array[Double] => Q)(
-                                   probe: (P, Q, Double, Double) => TopK): Array[QueryResult] = {
+                                   budget: Long, r0: Double, c: Double, levels: Int)(prepare: Array[Double] => Q)(
+                                   probe: (P, Q, Array[Double], Array[Double]) => Array[TopK]): Array[QueryResult] = {
     requireK(k)
     Vec.requireFinite(queries)
     val prepared = queries.map(prepare)
     val radii = Array.fill(queries.length)(r0)
     val results = new Array[QueryResult](queries.length)
     var active = queries.indices.toArray
-    var round = 0
+    var jobs = 0
     while (active.nonEmpty) {
-      round += 1
-      val rows = gather(parts, active.map(qi => (prepared(qi), radii(qi), c * radii(qi)))) { part =>
-        { case (q, r, cr) => probe(part, q, r, cr) }
+      val ladders = active.map(qi => Array.iterate(radii(qi), levels)(_ * c))
+      val rows = gather(parts, active.zip(ladders).map { case (qi, rs) => (prepared(qi), rs, rs.map(c * _)) }) {
+        part => { case (q, rs, crs) => probe(part, q, rs, crs) }
       }
-      active = active.zip(rows).filter { case (qi, qRows) =>
-        val res = merge(qRows, k)
-        val done = res.count >= budget || res.count >= n || res.withinCr >= k
-        if (done) results(qi) = QueryResult(res.neighbors, round, res.count) else radii(qi) *= c
-        !done
-      }.map(_._1)
+      val next = Array.newBuilder[Int]
+      var i = 0
+      while (i < active.length) {
+        val qi = active(i)
+        var level = 0
+        while (level < levels && results(qi) == null) {
+          val res = merge(rows(i).map(_(level)), k)
+          if (res.count >= budget || res.count >= n || res.withinCr >= k)
+            results(qi) = QueryResult(res.neighbors, jobs * levels + level + 1, res.count)
+          level += 1
+        }
+        if (results(qi) == null) { radii(qi) = ladders(i)(levels - 1) * c; next += qi }
+        i += 1
+      }
+      active = next.result()
+      jobs += 1
     }
     results
   }

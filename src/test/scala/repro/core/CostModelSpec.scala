@@ -54,7 +54,7 @@ class CostModelSpec extends AnyFunSuite {
     val items = randomItems(10, 4, 1)
     val pm = PMTree.build(items, PMTree.selectPivots(items.map(_.proj), 2), 16)
     val rt = RTree.build(items, 16)
-    val f = EmpiricalDistances.fromSample(items.map(_.proj))
+    val f = EmpiricalDistances.fromSample(items.map(_.proj), seed = 7)
     val gs = CostModel.cdfPerDim(items.map(_.proj))
     assert(CostModel.pmTreeCost(pm.nodeSummaries, f, 1.0) == 10.0)
     assert(CostModel.rTreeCost(rt.nodeSummaries, gs, 1.0) == 10.0)
@@ -64,7 +64,7 @@ class CostModelSpec extends AnyFunSuite {
     val items = randomItems(2000, 15, 2)
     val pm = PMTree.build(items, PMTree.selectPivots(items.take(200).map(_.proj), 5), 16)
     val rt = RTree.build(items, 16)
-    val f = EmpiricalDistances.fromSample(items.take(400).map(_.proj))
+    val f = EmpiricalDistances.fromSample(items.take(400).map(_.proj), seed = 7)
     val gs = CostModel.cdfPerDim(items.map(_.proj))
     val rq = f.quantile(0.08)
     val ccPm = CostModel.pmTreeCost(pm.nodeSummaries, f, rq)
@@ -78,7 +78,7 @@ class CostModelSpec extends AnyFunSuite {
   test("cost grows with the query radius") {
     val items = randomItems(1500, 15, 3)
     val pm = PMTree.build(items, PMTree.selectPivots(items.take(200).map(_.proj), 5), 16)
-    val f = EmpiricalDistances.fromSample(items.take(400).map(_.proj))
+    val f = EmpiricalDistances.fromSample(items.take(400).map(_.proj), seed = 7)
     val small = CostModel.pmTreeCost(pm.nodeSummaries, f, f.quantile(0.02))
     val large = CostModel.pmTreeCost(pm.nodeSummaries, f, f.quantile(0.5))
     assert(large > small, s"small=$small large=$large")
@@ -88,7 +88,7 @@ class CostModelSpec extends AnyFunSuite {
     val items = randomItems(3000, 15, 4)
     val pm = PMTree.build(items, PMTree.selectPivots(items.take(300).map(_.proj), 5), 16)
     val rt = RTree.build(items, 16)
-    val f = EmpiricalDistances.fromSample(items.take(500).map(_.proj))
+    val f = EmpiricalDistances.fromSample(items.take(500).map(_.proj), seed = 7)
     val gs = CostModel.cdfPerDim(items.map(_.proj))
     val rq = f.quantile(0.08)
     val ccPm = CostModel.pmTreeCost(pm.nodeSummaries, f, rq)
@@ -99,7 +99,7 @@ class CostModelSpec extends AnyFunSuite {
   test("model correlates with measured distance computations (PM-tree)") {
     val items = randomItems(3000, 15, 6)
     val pm = PMTree.build(items, PMTree.selectPivots(items.take(300).map(_.proj), 5), 16)
-    val f = EmpiricalDistances.fromSample(items.take(500).map(_.proj))
+    val f = EmpiricalDistances.fromSample(items.take(500).map(_.proj), seed = 7)
     val rq = f.quantile(0.08)
     val modeled = CostModel.pmTreeCost(pm.nodeSummaries, f, rq)
     pm.resetDistCount()

@@ -12,7 +12,7 @@ class DataStatsSpec extends SparkSpec {
     val cfg = HighDim.testConfig(n, d, seed).copy(noiseFrac = noise)
     val pts = HighDim.generate(spark, cfg).persist()
     pts.count()
-    val s = DataStats.compute(spark, pts, sampleQueries = 30, kLid = 30, seed = seed)
+    val s = DataStats.compute(spark, pts, seed = seed)
     pts.unpersist()
     s
   }

@@ -169,6 +169,17 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("a query far outside the data terminates with min(k, n) neighbours") {
+    val (pm, r) = (pmEngine, rEngine)
+    val far = Array.fill(cfg.d)(1e6 * points.collect().map(_.vec.map(math.abs).max).max)
+    failAfter(20.seconds) {
+      Seq(pm, r).foreach { e =>
+        assert(e.knn(Array(far, queries(0)), k).map(_.neighbors.length).toSeq == Seq(k, k))
+        assert(e.knn(Array(far), 1000).head.neighbors.length == e.n)
+      }
+    }
+  }
+
   test("knn rejects k < 1, naming k") {
     Seq(pmEngine, rEngine).foreach { e =>
       Seq(0, -1).foreach { bad =>

@@ -37,6 +37,37 @@ class TopKSpec extends SparkSpec {
     assert(top.neighbors.toSeq == Seq(Neighbor(14L, 0.5), Neighbor(11L, 1.0), Neighbor(13L, 1.0)))
   }
 
+  test("a radius loop with several radii per job answers as one job per radius") {
+    // 4 scripted partitions of (query, id, projected, true distance); query
+    // q's points lie within r0·1.5^q, so it stops after about q rounds, at
+    // the first radius with `budget` points in range or k of them with a
+    // true distance within c·r
+    val (k, budget, r0, c) = (5, 30L, 1.0, 1.5)
+    val rng = new scala.util.Random(5)
+    val nq = 12
+    val script = Array.tabulate(4)(p => Array.tabulate(nq * 10) { i =>
+      val pd = r0 * math.pow(c, i % nq) * (1 + rng.nextInt(4)) / 4
+      (i % nq, (p * 1000 + i).toLong, pd, pd * (if (rng.nextInt(3) == 0) 1 else 4))
+    })
+    val parts = spark.sparkContext.parallelize(script.toSeq, 4)
+    val n = script.map(_.length.toLong).sum
+    def run(levels: Int) = TopK.radiusRounds(parts, Array.tabulate(nq)(q => Array(q.toDouble)), k, n, budget, r0, c,
+      levels)(_(0).toInt) { (part, q, rs, crs) =>
+      Array.tabulate(rs.length) { j =>
+        val in = part.filter(e => e._1 == q && e._3 <= rs(j))
+        TopK.of(in.map(_._2), in.map(_._4), k, crs(j))
+      }
+    }
+    def key(rs: Array[QueryResult]) = rs.toSeq.map(r => (r.rounds, r.candidates, r.neighbors.toSeq))
+    val one = run(1)
+    val rounds = one.map(_.rounds).toSet
+    // a query stops at level 0 of the first job, and one at a later level of
+    // a later job when three radii share a job
+    assert(rounds.contains(1) && rounds.exists(r => r > 3 && (r - 1) % 3 != 0), rounds)
+    assert(one.exists(_.candidates >= budget) && one.exists(_.candidates < budget))
+    Seq(2, 3, 4).foreach(levels => assert(key(run(levels)) == key(one), s"$levels radii per job"))
+  }
+
   test("non-finite query coordinates are rejected") {
     Vec.requireFinite(Array(Array(0.0, -1.5)))
     intercept[IllegalArgumentException](Vec.requireFinite(Array(Array(0.0), Array(Double.NaN))))

@@ -41,17 +41,8 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
       val len = math.min(math.ceil(frac * rt.size).toLong + k, rt.size.toLong).toInt
       entry => {
         val (qv, qp) = entry
-        val ids = new Array[Long](len)
-        val pds = new Array[Double](len)
-        val slots = new Array[Int](len)
-        val it = rt.incSlots(qp)
-        var i = 0
-        while (i < len) {
-          val (s, pd) = it.next()
-          ids(i) = pts.ids(s); pds(i) = pd; slots(i) = s
-          i += 1
-        }
-        (ids, pds, pts.dists(qv, slots, len))
+        val (slots, pds) = rt.nearest(qp, len)
+        (slots.map(pts.ids), pds, pts.dists(qv, slots, len))
       }
     }
 

@@ -29,12 +29,14 @@ case class PMNodeSummary(
   *   - the s hyper-ring tests ||q, p_i|| − r ≤ HR[i].max and
   *     ||q, p_i|| + r ≥ HR[i].min.
   *
-  * Insertion is classic M-tree: descend by minimum enlargement, split on
-  * overflow with max-distance promotion and nearest-center partition.
-  * Covering radii are upper bounds on the distance to every descendant
-  * point, so pruning stays correct after splits. The tree is built once,
-  * by `PMTree.build`, on the projections alone; its payload is then filled
-  * once, in leaf order.
+  * Insertion is classic M-tree, one recursive descent per point: descend by
+  * minimum enlargement, split on overflow with max-distance promotion and
+  * nearest-center partition. It reads only centers and covering radii, and
+  * keeps the radii as upper bounds on the distance to every descendant
+  * point. The tree is built once, by `PMTree.build`, on the projections
+  * alone; its payload is then filled once, in leaf order, and one pass over
+  * the finished tree sets every routing entry's exact covering radius and
+  * hyper-rings.
   *
   * `distCount` counts query-time distance computations in the projected
   * space (the quantity modeled in Table 2).
@@ -43,13 +45,12 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
   require(capacity >= 4, s"capacity must be >= 4, got $capacity")
   private val s = pivots.length
 
-  private final class RoutingEntry(
-      val center: Array[Double],
-      var radius: Double,
-      var child: Node,
-      val hrMin: Array[Double],
-      val hrMax: Array[Double]) extends Serializable {
+  private final class RoutingEntry(val center: Array[Double], var radius: Double, val child: Node)
+      extends Serializable {
     var parentDist: Double = 0.0
+    /** The hyper-rings, set with the exact radius once every point is in. */
+    var hrMin: Array[Double] = null
+    var hrMax: Array[Double] = null
   }
 
   private sealed abstract class Node extends Serializable
@@ -79,107 +80,80 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
   def resetDistCount(): Unit = distCount = 0L
 
   /** Indexes `points`, projected to `proj` (m per point, as the pivots):
-    * inserts every point in order and tightens the covering radii, all on
-    * the projections, then fills the payload in leaf order. */
+    * inserts every point in order, on the projections, fills the payload
+    * in leaf order, then computes the leaf entries' pivot distances and
+    * tightens the routing entries. */
   private def load(points: Array[Point], proj: Array[Double]): Unit = {
     val m = if (points.isEmpty) 0 else pivots(0).length
     require(proj.length == points.length * m,
       s"${points.length} points with pivots of $m coordinates need ${points.length * m} projected coordinates, got ${proj.length}")
     pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
-    pivotDists = new Array[Double](points.length * s)
-    parentDists = new Array[Double](points.length)
     var slot = 0
-    while (slot < points.length) { insert(slot); slot += 1 }
-    tighten()
+    while (slot < points.length) {
+      val pair = insert(root, null, slot)
+      if (pair != null) {
+        val newRoot = new Inner
+        newRoot.routes += pair._1
+        newRoot.routes += pair._2
+        root = newRoot
+      }
+      slot += 1
+    }
     val ls = leaves
     val order = ls.flatMap(_.slots).toArray
     pts = Slots.of(points, proj, m, order)
-    pivotDists = Slots.gather(pivotDists, s, order)
-    parentDists = Slots.gather(parentDists, 1, order)
     var next = 0
     ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
+    pivotDists = new Array[Double](size * s)
+    var o = 0
+    while (o < size * s) { pivotDists(o) = Vec.dist(pivots(o % s), pts.proj, o / s * m); o += 1 }
+    parentDists = new Array[Double](size)
+    tighten()
   }
 
-  /** Insert one slot (its projected coordinates drive the tree). */
-  private def insert(slot: Int): Unit = {
-    val proj = pts.proj
-    val off = slot * pts.m
-    val po = slot * s
-    var k = 0
-    while (k < s) { pivotDists(po + k) = Vec.dist(pivots(k), proj, off); k += 1 }
-    // Descend to a leaf, remembering the path of (parentNode, routingEntry).
-    val path = new ArrayBuffer[(Inner, RoutingEntry)]()
-    var node = root
-    while (node.isInstanceOf[Inner]) {
-      val inner = node.asInstanceOf[Inner]
-      var best: RoutingEntry = null
-      var bestKey = Double.MaxValue
-      var bestInside = false
-      var i = 0
-      while (i < inner.routes.length) {
-        val re = inner.routes(i)
-        val dd = Vec.dist(re.center, proj, off)
-        val inside = dd <= re.radius
+  /** Inserts `slot` below `node`, whose routing entry has center
+    * `parentCenter` (null at the root); returns the two routing entries
+    * that replace `node` if it overflowed and split, else null. */
+  private def insert(node: Node, parentCenter: Array[Double], slot: Int): (RoutingEntry, RoutingEntry) = {
+    val overflow = node match {
+      case l: Leaf =>
+        l.slots = l.slots :+ slot
+        l.slots.length > capacity
+      case in: Inner =>
+        val proj = pts.proj
+        val off = slot * pts.m
         // prefer containing entries by distance; else minimum enlargement
-        if (inside) {
-          if (!bestInside || dd < bestKey) { best = re; bestKey = dd; bestInside = true }
-        } else if (!bestInside) {
-          val enlarge = dd - re.radius
-          if (enlarge < bestKey) { best = re; bestKey = enlarge }
+        var best = 0
+        var bestKey = Double.MaxValue
+        var bestDist = 0.0
+        var bestInside = false
+        var i = 0
+        while (i < in.routes.length) {
+          val re = in.routes(i)
+          val dd = Vec.dist(re.center, proj, off)
+          val inside = dd <= re.radius
+          if (inside) {
+            if (!bestInside || dd < bestKey) { best = i; bestKey = dd; bestDist = dd; bestInside = true }
+          } else if (!bestInside && dd - re.radius < bestKey) { best = i; bestKey = dd - re.radius; bestDist = dd }
+          i += 1
         }
-        i += 1
-      }
-      val dd = Vec.dist(best.center, proj, off)
-      if (dd > best.radius) best.radius = dd
-      var j = 0
-      while (j < s) {
-        if (pivotDists(po + j) < best.hrMin(j)) best.hrMin(j) = pivotDists(po + j)
-        if (pivotDists(po + j) > best.hrMax(j)) best.hrMax(j) = pivotDists(po + j)
-        j += 1
-      }
-      path += ((inner, best))
-      node = best.child
+        val re = in.routes(best)
+        if (bestDist > re.radius) re.radius = bestDist
+        val pair = insert(re.child, re.center, slot)
+        if (pair != null) {
+          in.routes.remove(best)
+          Seq(pair._1, pair._2).foreach { r =>
+            r.parentDist = if (parentCenter == null) 0.0 else Vec.dist(parentCenter, r.center)
+            in.routes += r
+          }
+        }
+        in.routes.length > capacity
     }
-    val leaf = node.asInstanceOf[Leaf]
-    parentDists(slot) = if (path.isEmpty) 0.0 else Vec.dist(path.last._2.center, proj, off)
-    leaf.slots = leaf.slots :+ slot
-    if (leaf.slots.length > capacity) splitUp(leaf, path)
+    if (overflow) split(node) else null
   }
 
-  /** Split `node` (which overflowed); cascade upward along `path`. */
-  private def splitUp(node: Node, path: ArrayBuffer[(Inner, RoutingEntry)]): Unit = {
-    var child = node
-    var level = path.length - 1
-    var continue = true
-    while (continue) {
-      val (r1, r2) = split(child)
-      if (level < 0) {
-        // the root split: grow a new root
-        val newRoot = new Inner
-        newRoot.routes += r1
-        newRoot.routes += r2
-        r1.parentDist = 0.0
-        r2.parentDist = 0.0
-        root = newRoot
-        continue = false
-      } else {
-        val (parent, oldRe) = path(level)
-        val idx = parent.routes.indexOf(oldRe)
-        parent.routes.remove(idx)
-        val grandCenter = if (level == 0) null else path(level - 1)._2.center
-        r1.parentDist = if (grandCenter == null) 0.0 else Vec.dist(grandCenter, r1.center)
-        r2.parentDist = if (grandCenter == null) 0.0 else Vec.dist(grandCenter, r2.center)
-        parent.routes += r1
-        parent.routes += r2
-        if (parent.routes.length > capacity) {
-          child = parent
-          level -= 1
-        } else continue = false
-      }
-    }
-  }
-
-  /** Split the entries of a node into two new routing entries. */
+  /** Split the entries of a node into two new routing entries, each with
+    * the upper-bound radius insertion keeps. */
   private def split(node: Node): (RoutingEntry, RoutingEntry) = {
     // entry centers: a leaf entry's is its point
     val centers: Array[Array[Double]] = node match {
@@ -201,56 +175,39 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     val c1 = centers(bi).clone()
     val c2 = centers(bj).clone()
     val toFirst = new Array[Boolean](centers.length)
-    val parentDist = new Array[Double](centers.length)
     var n1 = 0; var n2 = 0
+    var r1 = 0.0; var r2 = 0.0
     i = 0
     while (i < centers.length) {
       // seeds are force-assigned so neither side can end up empty (with
       // duplicate points every distance ties at 0)
+      var parentDist = 0.0
       if (i == bi) toFirst(i) = true
       else if (i != bj) {
         val d1 = Vec.dist(c1, centers(i))
         val d2 = Vec.dist(c2, centers(i))
         toFirst(i) = d1 < d2 || (d1 == d2 && n1 <= n2)
-        parentDist(i) = if (toFirst(i)) d1 else d2
+        parentDist = if (toFirst(i)) d1 else d2
       }
-      if (toFirst(i)) n1 += 1 else n2 += 1
+      // the entry's farthest point from its new center, at most
+      val cover = node match {
+        case in: Inner => in.routes(i).parentDist = parentDist; parentDist + in.routes(i).radius
+        case _         => parentDist
+      }
+      if (toFirst(i)) { n1 += 1; if (cover > r1) r1 = cover }
+      else { n2 += 1; if (cover > r2) r2 = cover }
       i += 1
     }
     val (a, b): (Node, Node) = node match {
       case l: Leaf =>
-        l.slots.indices.foreach(i => parentDists(l.slots(i)) = parentDist(i))
         val (s1, s2) = l.slots.indices.partition(toFirst(_))
         (new Leaf(s1.map(l.slots(_)).toArray), new Leaf(s2.map(l.slots(_)).toArray))
       case in: Inner =>
-        in.routes.indices.foreach(i => in.routes(i).parentDist = parentDist(i))
         val (a, b) = (new Inner, new Inner)
         in.routes.indices.foreach(i => (if (toFirst(i)) a else b).routes += in.routes(i))
         (a, b)
     }
-    (makeRouting(c1, a), makeRouting(c2, b))
-  }
-
-  private def makeRouting(center: Array[Double], child: Node): RoutingEntry = {
-    var radius = 0.0
-    val hrMin = Array.fill(s)(Double.MaxValue)
-    val hrMax = Array.fill(s)(Double.MinValue)
-    def cover(r: Double, lo: Int => Double, hi: Int => Double): Unit = {
-      if (r > radius) radius = r
-      var j = 0
-      while (j < s) {
-        if (lo(j) < hrMin(j)) hrMin(j) = lo(j)
-        if (hi(j) > hrMax(j)) hrMax(j) = hi(j)
-        j += 1
-      }
-    }
-    child match {
-      case l: Leaf =>
-        l.slots.foreach { o => cover(parentDists(o), j => pivotDists(o * s + j), j => pivotDists(o * s + j)) }
-      case in: Inner =>
-        in.routes.foreach { rr => cover(rr.parentDist + rr.radius, rr.hrMin(_), rr.hrMax(_)) }
-    }
-    new RoutingEntry(center, radius, child, hrMin, hrMax)
+    (new RoutingEntry(c1, r1, a), new RoutingEntry(c2, r2, b))
   }
 
   /** Ball range query in the projected space: all points with
@@ -332,19 +289,29 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     }
   }
 
-  /** Tighten covering radii to the exact max distance to any descendant
-    * point. Insertion and splits only maintain upper bounds (parentDist +
-    * child radius); one exact pass after bulk build shrinks the PM-tree
-    * regions, improving both real pruning and the Eq. 7 cost estimate.
-    * Hyper-rings are already exact (unions of exact pivot distances).
-    */
+  /** Sets, from the points below each routing entry, its covering radius
+    * to the largest distance from its center (insertion keeps only an upper
+    * bound, parentDist + child radius; the exact radius shrinks the PM-tree
+    * regions, improving both real pruning and the Eq. 7 cost estimate), its
+    * hyper-rings to each pivot's range of distances, and, for an entry
+    * above a leaf, each leaf entry's parent distance. */
   private def tighten(): Unit = eachRoute { (r, below) =>
-    var maxD = 0.0
+    val aboveLeaf = r.child.isInstanceOf[Leaf]
+    r.radius = 0.0
+    r.hrMin = Array.fill(s)(Double.MaxValue)
+    r.hrMax = Array.fill(s)(Double.MinValue)
     below.foreach { o =>
       val dd = Vec.dist(r.center, pts.proj, o * pts.m)
-      if (dd > maxD) maxD = dd
+      if (dd > r.radius) r.radius = dd
+      if (aboveLeaf) parentDists(o) = dd
+      var j = 0
+      while (j < s) {
+        val pd = pivotDists(o * s + j)
+        if (pd < r.hrMin(j)) r.hrMin(j) = pd
+        if (pd > r.hrMax(j)) r.hrMax(j) = pd
+        j += 1
+      }
     }
-    r.radius = maxD
   }
 
   /** Calls `f` on every routing entry with the slots of every leaf entry
@@ -422,8 +389,8 @@ object PMTree {
 
   /** Build a PM-tree over `points`, projected to `proj` (as many
     * coordinates per point as each pivot has, in `points` order), by
-    * inserting every point in order; then tighten the radii and fill the
-    * payload in leaf order. */
+    * inserting every point in order; then fill the payload in leaf order
+    * and set the exact radii and the hyper-rings. */
   def build(points: Array[Point], proj: Array[Double], pivots: Array[Array[Double]], capacity: Int): PMTree = {
     val t = new PMTree(pivots, capacity)
     t.load(points, proj)

@@ -75,7 +75,12 @@ final class RTreePart(val tree: RTree) extends PartIndex {
   override private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit =
     tree.search(qProj, r, out)
 
-  /** Incremental NN order for SRS: slots by ascending projected distance,
-    * with those distances; each stream counts into a `Hits` of its own. */
-  def incSlots(qProj: Array[Double]): Iterator[(Int, Double)] = tree.nearest(qProj, new Hits)
+  /** Incremental NN order for SRS: the first `count` slots by ascending
+    * projected distance (all of them, if there are fewer), and those
+    * distances. */
+  def nearest(qProj: Array[Double], count: Int): (Array[Int], Array[Double]) = {
+    val hits = new Hits
+    tree.nearest(qProj, count, hits)
+    (Arrays.copyOf(hits.slots, hits.size), Arrays.copyOf(hits.dists, hits.size))
+  }
 }

@@ -17,7 +17,8 @@ case class RNodeSummary(nEntries: Int, lo: Array[Double], hi: Array[Double], isR
   * charges the R-tree for, and what SRS's R-tree actually looks like.
   *
   * Supports ball range queries (MINDIST pruning) and incremental nearest
-  * neighbor (Hjaltason–Samet best-first priority queue), SRS's incSearch.
+  * neighbor (Hjaltason–Samet best-first priority queue), SRS's incSearch,
+  * bounded by the number of slots the caller takes.
   * Both count their visited nodes and point-distance computations into the
   * caller's `Hits`; the boxed `range` adds its counts to `distCount` and
   * `nodeAccesses`.
@@ -281,49 +282,41 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  /** Incremental NN in the projected space (SRS's incSearch): slots in
-    * non-decreasing order of projected distance to q, with those
-    * distances, counting into `out` the visited nodes and one distance per
-    * point of a visited leaf. Lazy: a node is visited only when the next
-    * element is pulled. */
-  private[core] def nearest(q: Array[Double], out: Hits): Iterator[(Int, Double)] = {
-    if (size == 0) return Iterator.empty
+  /** Incremental NN in the projected space (SRS's incSearch), bounded:
+    * appends to `out` the first `count` slots in non-decreasing order of
+    * projected distance to q (every slot, if there are fewer), with those
+    * distances, counting there the visited nodes and one distance per
+    * point of a visited leaf. A node is visited only while fewer than
+    * `count` slots are out. */
+  private[core] def nearest(q: Array[Double], count: Int, out: Hits): Unit = {
+    if (size == 0) return
     val proj = pts.proj
     val m = pts.m
     // a node to visit, or (node null) a slot to emit, by squared distance
     val pq = mutable.PriorityQueue.empty[(Double, Node, Int)](Ordering.by((e: (Double, Node, Int)) => -e._1))
     pq.enqueue((minSqDist(q, root.lo, root.hi), root, -1))
-    new Iterator[(Int, Double)] {
-      private var nextItem: (Int, Double) = null
-      private def advance(): Unit = {
-        while (nextItem == null && pq.nonEmpty) {
-          val (key, node, slot) = pq.dequeue()
-          if (node == null) nextItem = (slot, math.sqrt(key))
-          else {
-            out.nodeAccesses += 1
-            if (node.isLeaf) {
-              out.distCount += node.slots.length
-              var i = 0
-              while (i < node.slots.length) {
-                val slot = node.slots(i)
-                pq.enqueue((Vec.sqDist(q, proj, slot * m), null, slot))
-                i += 1
-              }
-            } else {
-              var i = 0
-              while (i < node.children.length) {
-                val c = node.children(i)
-                pq.enqueue((minSqDist(q, c.lo, c.hi), c, -1))
-                i += 1
-              }
-            }
+    var emitted = 0
+    while (emitted < count && pq.nonEmpty) {
+      val (key, node, slot) = pq.dequeue()
+      if (node == null) { out.add(slot, math.sqrt(key)); emitted += 1 }
+      else {
+        out.nodeAccesses += 1
+        if (node.isLeaf) {
+          out.distCount += node.slots.length
+          var i = 0
+          while (i < node.slots.length) {
+            val slot = node.slots(i)
+            pq.enqueue((Vec.sqDist(q, proj, slot * m), null, slot))
+            i += 1
+          }
+        } else {
+          var i = 0
+          while (i < node.children.length) {
+            val c = node.children(i)
+            pq.enqueue((minSqDist(q, c.lo, c.hi), c, -1))
+            i += 1
           }
         }
-      }
-      override def hasNext: Boolean = { advance(); nextItem != null }
-      override def next(): (Int, Double) = {
-        advance()
-        val r = nextItem; nextItem = null; r
       }
     }
   }

@@ -130,8 +130,10 @@ final class RangeLsh(
     * line 7 stops searching at βn + k points; with random partitioning each
     * partition holds ~1/P of any candidate set, so an even per-partition
     * share (with 20% headroom for imbalance) realizes the same early stop
-    * distributively. */
-  private[core] def partCap(k: Int): Int = math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toInt + k
+    * distributively. Summed in `Long` and clamped, so a huge k cannot wrap
+    * it negative. */
+  private[core] def partCap(k: Int): Int =
+    math.min(math.ceil(1.2 * betaNk(k).toDouble / params.partitions).toLong + k, Int.MaxValue.toLong).toInt
 
   /** Batched (c,k)-ANN (Algorithm 2) for all queries at once: each round
     * range-searches every partition at t·r, one round per job. Both

@@ -133,6 +133,30 @@ class PMTreeSpec extends AnyFunSuite {
     assert(pivots.length == 5)
   }
 
+  test("a seeded build with duplicate points keeps its leaf order, radii, rings and searches (pinned digest)") {
+    val words = Seq((900, 15, 16, true), (400, 4, 4, false), (300, 8, 6, true)).zipWithIndex.iterator.flatMap {
+      case ((n, m, cap, clustered), ci) =>
+        val base = randomItems(n, m, 611 + ci, clustered)
+        // every fifth point twice in a row, and one point 30 times more
+        val items = base.flatMap { it =>
+          if (it.id % 5 == 0) Seq(it, IndexedPoint(it.id + 100000L, it.proj.clone(), Array.empty)) else Seq(it)
+        } ++ Array.tabulate(30)(i => IndexedPoint(200000L + i, base(1).proj.clone(), Array.empty))
+        val tree = PMTree.build(items, PMTree.selectPivots(items.take(100).map(_.proj), 5), cap)
+        val rng = new Random(711 + ci)
+        val searches = (0 until 5).iterator.flatMap { _ =>
+          val hits = new Hits
+          tree.search(Array.fill(m)(rng.nextDouble() * 10), rng.nextDouble() * 4 + 0.5, hits)
+          hits.slots.take(hits.size).map(_.toLong) ++ hits.dists.take(hits.size).map(java.lang.Double.doubleToLongBits) :+
+            hits.distCount
+        }
+        tree.points.ids.iterator ++ tree.nodeSummaries.iterator.flatMap { s =>
+          Iterator(s.nEntries.toLong, java.lang.Double.doubleToLongBits(s.radius), if (s.isRoot) 1L else 0L) ++
+            (s.hrMin ++ s.hrMax).map(java.lang.Double.doubleToLongBits)
+        } ++ searches
+    }
+    assert(Digest.of(words) == "b1531919a7706ed4fa9a5a28")
+  }
+
   test("capacity below 4 rejected") {
     intercept[IllegalArgumentException](new PMTree(Array(Array(0.0)), 2))
   }

@@ -3,9 +3,10 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** R-tree correctness: ball range = brute force, incremental NN emits the
-  * exact distance-sorted order (what SRS's incSearch relies on), MBRs
-  * cover their subtrees.
+/** R-tree correctness: ball range = brute force, the bounded incremental
+  * NN fill emits the exact distance-sorted order (what SRS's incSearch
+  * relies on) and stops visiting nodes once it has its count, MBRs cover
+  * their subtrees.
   */
 class RTreeSpec extends AnyFunSuite {
 
@@ -22,9 +23,20 @@ class RTreeSpec extends AnyFunSuite {
     }
   }
 
-  /** SRS's incSearch order from `nearest`, each slot read as its point. */
-  private def incSearch(tree: RTree, q: Array[Double]): Iterator[(IndexedPoint, Double)] =
-    tree.nearest(q, new Hits).map { case (slot, pd) => (tree.points.point(slot), pd) }
+  /** The first `count` of SRS's incSearch order from `nearest`, each slot
+    * read as its point. */
+  private def incSearch(tree: RTree, q: Array[Double], count: Int): Array[(IndexedPoint, Double)] = {
+    val (slots, pds, _) = firstNearest(tree, q, count)
+    slots.map(tree.points.point).zip(pds)
+  }
+
+  /** The first `count` slots of the incSearch order with their projected
+    * distances, and the `Hits` the search counted into. */
+  private def firstNearest(tree: RTree, q: Array[Double], count: Int): (Array[Int], Array[Double], Hits) = {
+    val hits = new Hits
+    tree.nearest(q, count, hits)
+    (hits.slots.take(hits.size), hits.dists.take(hits.size), hits)
+  }
 
   private val configs = for {
     (n, m, cap) <- Seq((40, 3, 4), (200, 5, 8), (500, 15, 16), (1000, 15, 16), (300, 8, 6),
@@ -54,7 +66,7 @@ class RTreeSpec extends AnyFunSuite {
       val items = randomItems(n, m, 321 + n)
       val tree = RTree.build(items, cap)
       val q = Array.fill(m)(5.0)
-      val got = incSearch(tree, q).toArray
+      val got = incSearch(tree, q, n)
       assert(got.length == n, "incSearch must enumerate every point")
       // distances are non-decreasing and correct
       got.sliding(2).foreach {
@@ -67,28 +79,40 @@ class RTreeSpec extends AnyFunSuite {
     }
   }
 
-  test("incSearch is lazy: taking k pulls far fewer than n point distances") {
+  test("incSearch is bounded: the first 10 cost far fewer than n point distances") {
     val items = randomItems(5000, 8, 77, clustered = true)
     val tree = RTree.build(items, 16)
-    val hits = new Hits
-    val top10 = tree.nearest(items(3).proj, hits).take(10).toArray
+    val (top10, _, hits) = firstNearest(tree, items(3).proj, 10)
     assert(top10.length == 10)
     assert(hits.distCount < 5000, s"distCount=${hits.distCount}")
     assert(hits.nodeAccesses > 0 && tree.distCount == 0 && tree.nodeAccesses == 0)
+  }
+
+  test("incSearch's first slots, distances and counts for seeded queries (pinned digest)") {
+    val items = randomItems(3000, 15, 613, clustered = true)
+    val tree = RTree.build(items, 16)
+    val rng = new Random(713)
+    val words = Seq(1, 10, 50, 600, 3000).iterator.flatMap { count =>
+      val q = Array.fill(15)(rng.nextDouble() * 10)
+      val (slots, pds, hits) = firstNearest(tree, q, count)
+      assert(slots.length == count)
+      slots.map(_.toLong) ++ pds.map(java.lang.Double.doubleToLongBits) ++ Seq(hits.distCount, hits.nodeAccesses)
+    }
+    assert(Digest.of(words) == "7e7e92750fe4ba1f518a903e")
   }
 
   test("empty tree: empty range, empty incSearch") {
     val tree = RTree.build(Array.empty[IndexedPoint], 8)
     assert(tree.size == 0)
     assert(tree.range(Array(0.0), 10.0).isEmpty)
-    assert(!incSearch(tree, Array(0.0)).hasNext)
+    assert(incSearch(tree, Array(0.0), 1).isEmpty)
   }
 
   test("single item tree") {
     val tree = RTree.build(Array(IndexedPoint(7L, Array(1.0, 2.0), Array.empty)), 8)
     assert(tree.size == 1)
     assert(tree.range(Array(1.0, 2.0), 0.1).map(_._1.id).toSeq == Seq(7L))
-    assert(incSearch(tree, Array(0.0, 0.0)).toSeq.map(_._1.id) == Seq(7L))
+    assert(incSearch(tree, Array(0.0, 0.0), 2).toSeq.map(_._1.id) == Seq(7L))
   }
 
   test("duplicate points all returned") {

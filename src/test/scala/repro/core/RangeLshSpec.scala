@@ -66,13 +66,19 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
   }
 
   test("Theorem 1: top-1 is a c^2-ANN for well over the guaranteed fraction") {
-    val res = pmEngine.knn(queries, 1)
+    // the paper's stated beta, and Eq. 10's (paperBeta = false)
+    val eq10 = new RangeLsh(spark, points, params.copy(paperBeta = false), usePmTree = true)
     val c2 = params.c * params.c
-    val ok = queries.indices.count { i =>
-      res(i).neighbors.nonEmpty && res(i).neighbors.head.dist <= c2 * gt(i).head.dist + 1e-12
+    Seq(pmEngine, eq10).foreach { e =>
+      val res = e.knn(queries, 1)
+      val ok = queries.indices.count { i =>
+        res(i).neighbors.nonEmpty && res(i).neighbors.head.dist <= c2 * gt(i).head.dist + 1e-12
+      }
+      // the guarantee is prob >= 1/2 - 1/e ~= 0.13, far from binding (it is
+      // near 1 at both points), so this guards only against gross breakage
+      assert(ok.toDouble / queries.length >= 0.5, s"beta=${e.beta}: $ok of ${queries.length}")
     }
-    // guarantee is prob >= 1/2 - 1/e ~= 0.13; empirically it is near 1
-    assert(ok.toDouble / queries.length >= 0.5, s"$ok of ${queries.length}")
+    eq10.unpersist()
   }
 
   test("every query returns k results with sorted distances and unique ids") {
@@ -175,7 +181,7 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     failAfter(20.seconds) {
       Seq(pm, r).foreach { e =>
         assert(e.knn(Array(far, queries(0)), k).map(_.neighbors.length).toSeq == Seq(k, k))
-        assert(e.knn(Array(far), 1000).head.neighbors.length == e.n)
+        Seq(1000, Int.MaxValue).foreach(big => assert(e.knn(Array(far), big).head.neighbors.length == e.n, big))
       }
     }
   }

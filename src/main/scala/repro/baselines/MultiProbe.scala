@@ -218,7 +218,10 @@ final class MultiProbe(
 
   /** Bucket width per table: wFactor × mean per-dimension IQR of projected
     * coordinates, from a driver-side sample, checked like the index's
-    * points before it is hashed.
+    * points before it is hashed. Where a dimension's quartiles coincide, as
+    * when half the sample is one repeated point, its full range stands in:
+    * a width of 0 would give every other point a bucket of its own that no
+    * probe reaches.
     */
   val widths: Array[Double] = {
     val sample = points.limit(coordSample).collect()
@@ -227,7 +230,8 @@ final class MultiProbe(
       val projs = sample.map(p => fam.project(p.vec))
       val iqrs = Array.tabulate(numDims) { i =>
         val col = projs.map(_(i)).sorted
-        col((col.length * 3) / 4) - col(col.length / 4)
+        val iqr = col((col.length * 3) / 4) - col(col.length / 4)
+        if (iqr > 0) iqr else col.last - col.head
       }
       math.max(iqrs.sum / numDims * wFactor, 1e-9)
     }

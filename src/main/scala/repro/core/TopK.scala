@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import scala.reflect.ClassTag
 
@@ -41,19 +42,38 @@ object TopK {
   }
 
   /** One Spark action for a batch, the step every query runs: `batch` is
-    * broadcast once; each partition's task calls `probe(part)` once, so the
-    * function it returns may own per-task buffers, applies that function to
-    * every entry in batch order, and ships its rows as one array. Entry i's
-    * result is its rows in partition order, the order `merge`'s ties rely
-    * on. The broadcast is destroyed even when the job fails or is
-    * cancelled. */
+    * broadcast once; each partition holds exactly one element `part` (as
+    * `Points.indexed` and `glom()` give), and its task calls `probe(part)`
+    * once, so the function it returns may own per-task buffers, applies that
+    * function to every entry in batch order, and ships its rows as one
+    * array. Entry i's result is its rows in partition order, the order
+    * `merge`'s ties rely on. The broadcast is destroyed even when the job
+    * fails or is cancelled.
+    *
+    * The job goes straight to `SparkContext.runJob` with a function defined
+    * here, so Spark's closure cleaner parses only this class's bytecode:
+    * `RDD.collect`'s closures are defined in `RDD` and `SparkContext`,
+    * whose bytecode (about 390 KB) it would inflate from the Spark jar on
+    * every call. */
   def gather[P, B: ClassTag, R: ClassTag](parts: RDD[P], batch: Array[B])(probe: P => B => R): Array[Array[R]] = {
     if (batch.isEmpty) return Array.empty
-    val bcBatch = parts.sparkContext.broadcast(batch)
+    val sc = parts.sparkContext
+    val bcBatch = sc.broadcast(batch)
     try {
-      val rows = parts.map(part => bcBatch.value.map(probe(part))).collect()
+      val rows = new Array[Array[R]](parts.getNumPartitions)
+      sc.runJob(parts, (ctx: TaskContext, it: Iterator[P]) => bcBatch.value.map(probe(only(ctx.partitionId(), it))),
+        rows.indices, (p: Int, row: Array[R]) => rows(p) = row)
       Array.tabulate(batch.length)(i => rows.map(_(i)))
     } finally bcBatch.destroy()
+  }
+
+  /** The one element of partition `p`; any other count is an
+    * IllegalArgumentException that names the partition and its count. */
+  private def only[P](p: Int, it: Iterator[P]): P = {
+    val part = if (it.hasNext) Some(it.next()) else None
+    val size = part.size + it.size
+    require(size == 1, s"gather: partition $p holds $size elements, expected exactly 1")
+    part.get
   }
 
   /** Algorithm 2's radius loop (§4.4), batched, `levels` radii per job:

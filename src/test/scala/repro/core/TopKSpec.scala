@@ -7,7 +7,7 @@ import repro.SparkSpec
   * the counts and merging the partitions' top-k lists must give the same
   * answer as shipping every candidate and sorting them all on the driver.
   * And the one gather every batch query runs: one row per partition for
-  * each batch entry, in partition order.
+  * each batch entry, in partition order, from partitions of one element.
   */
 class TopKSpec extends SparkSpec {
 
@@ -109,6 +109,17 @@ class TopKSpec extends SparkSpec {
     assert(causes.exists(c => Option(c.getMessage).exists(_.contains("probe failed"))), e)
     val rows = TopK.gather(parts, Array(1, 2)) { case (p, _) => b => p * 10 + b }
     assert(rows.map(_.toSeq).toSeq == Seq((0 until 8).map(_ * 10 + 1), (0 until 8).map(_ * 10 + 2)))
+  }
+
+  test("gather: a partition without exactly one element fails, naming the partition and its count") {
+    for ((bad, size) <- Seq(1 -> 0, 2 -> 2)) {
+      val parts = spark.sparkContext.parallelize(0 until 3, 3)
+        .mapPartitionsWithIndex((p, _) => Iterator.fill(if (p == bad) size else 1)(p))
+      val e = intercept[Exception](TopK.gather(parts, Array(1, 2))(p => b => p + b))
+      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .collectFirst { case iae: IllegalArgumentException => iae }
+      assert(cause.exists(_.getMessage.contains(s"partition $bad holds $size elements")), e)
+    }
   }
 
   test("gather: an empty batch returns an empty array") {

@@ -167,7 +167,8 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
 
 object MultiProbePart {
 
-  /** `points` in slot order, hashed into one table per LSH. */
+  /** `points` in slot order, hashed into one table per LSH; a point whose
+    * hash coordinates overflow to ∞ or NaN is rejected, named. */
   def of(points: Array[Point], lshs: Array[BucketedLsh]): MultiProbePart = {
     val tables = lshs.map { lsh =>
       val mB = lsh.family.m
@@ -175,7 +176,9 @@ object MultiProbePart {
       val fps = new Array[Long](points.length)
       var j = 0
       while (j < points.length) {
-        System.arraycopy(lsh.buckets(points(j).vec), 0, coords, j * mB, mB)
+        val x = Slots.requireRow(points(j).id, "projection", lsh.coords(points(j).vec), mB)
+        var i = 0
+        while (i < mB) { coords(j * mB + i) = math.floor(x(i)).toInt; i += 1 }
         fps(j) = BucketTable.fingerprint(coords, j * mB, mB)
         j += 1
       }
@@ -227,7 +230,7 @@ final class MultiProbe(
     val sample = points.limit(coordSample).collect()
     sample.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
     families.map { fam =>
-      val projs = sample.map(p => fam.project(p.vec))
+      val projs = sample.map(p => Slots.requireRow(p.id, "projection", fam.project(p.vec), numDims))
       val iqrs = Array.tabulate(numDims) { i =>
         val col = projs.map(_(i)).sorted
         val iqr = col((col.length * 3) / 4) - col(col.length / 4)
@@ -255,6 +258,7 @@ final class MultiProbe(
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     TopK.requireK(k)
     Vec.requireFinite(queries)
+    Vec.requireFinite(queries.map(q => lshs.flatMap(_.coords(q))), "projection")
     // (query, its probes per table), computed on the driver
     TopK.gather(index, queries.zip(probeBatch(queries).grouped(numTables))) { part =>
       // per-task buffers; the mark array is stamped with the entry's batch

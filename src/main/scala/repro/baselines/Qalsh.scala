@@ -162,14 +162,15 @@ final class Qalsh(
 
   /** One index per partition, kept live: a round's tasks probe the cached
     * objects in place. Every vector is checked (d finite coordinates)
-    * before it is hashed. */
+    * before it is hashed, and every hash row after. */
   val index: RDD[QalshPart] = {
     // locals only inside the lambda: field access would capture `this`
     val kk = numHashes
     val bf = bcFamily
     Points.indexed(points.repartition(partitions).rdd, d) { pts =>
       val f = bf.value
-      new QalshPart(Slots.of(pts), pts.map(p => f.project(p.vec)), kk)
+      // huge coordinates can overflow to ∞
+      new QalshPart(Slots.of(pts), pts.map(p => Slots.requireRow(p.id, "projection", f.project(p.vec), kk)), kk)
     }
   }
 
@@ -208,8 +209,8 @@ final class Qalsh(
     val ww = w
     val ll = l
     val f = family
-    TopK.radiusRounds(index, queries, k, n, budget, r0, c, levelsPerJob)(q => (q, f.project(q))) {
-      case (part, (q, qh), rs, crs) => part.probe(q, qh, ww, rs, ll, k, crs)
+    TopK.radiusRounds(index, queries, k, n, budget, r0, c, levelsPerJob)(f.project) {
+      (part, q, qh, rs, crs) => part.probe(q, qh, ww, rs, ll, k, crs)
     }
   }
 

@@ -3,7 +3,6 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import scala.annotation.unused
-import scala.collection.mutable
 
 /** SRS (Sun et al., §3.1) on Spark: incremental NN search over R-trees in
   * the projected space.
@@ -31,10 +30,12 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     TopK.requireK(k)
     Vec.requireFinite(queries)
+    val batch = queries.map(q => (q, engine.family.project(q)))
+    Vec.requireFinite(batch.map(_._2), "projection")
     val frac = tFrac
     // one row per partition and query: the partition's access sequence as
     // parallel arrays of ids, projected distances and verified distances
-    val streams = TopK.gather(engine.indexes, queries.map(q => (q, engine.family.project(q)))) { part =>
+    val streams = TopK.gather(engine.indexes, batch) { part =>
       val rt = part.asInstanceOf[RTreePart]
       val pts = rt.points
       // ⌈T·n_local⌉ + k accesses, or every slot: the stream holds them all
@@ -70,35 +71,29 @@ object Srs {
   /** One query's replay: the partition streams (ids, projected distances,
     * verified distances), concatenated in partition order, are accessed in
     * the global incSearch order, a stable sort by projected distance, until
-    * `budget` accesses or until `stops` fires on z². */
+    * `budget` accesses or until `stops` fires on z². The k nearest accessed
+    * points are the answer, equal distances in access order. */
   def replay(ids: Array[Long], pds: Array[Double], dds: Array[Double], k: Int, budget: Long,
              stops: Double => Boolean): QueryResult = {
     val seq = StableOrder.of(pds)
-    val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
+    val top = new TopK.Smallest(math.min(k, seq.length))
     var count = 0
     var stop = false
-    var i = 0
-    while (i < seq.length && !stop) {
-      val id = ids(seq(i))
-      val pd = pds(seq(i))
-      val dd = dds(seq(i))
+    while (count < seq.length && !stop) {
+      val at = seq(count)
+      top.offer(dds(at), at)
       count += 1
-      if (heap.size < k) heap.enqueue((dd, id))
-      else if (dd < heap.head._1) { heap.dequeue(); heap.enqueue((dd, id)) }
       if (count >= budget) stop = true
-      else if (heap.size >= k) {
+      else if (top.size == k) {
         // conservative termination: stop once an unseen point *tied with*
         // the current k-th best would almost surely have been scanned
         // already (P[chi2(m) <= (pd/d_k)^2] >= p'_tau). Including the c
         // factor stops as soon as mere c-approximation is likely, which
         // collapses recall far below the paper's reported SRS levels.
-        val z = pd / math.max(heap.head._1, 1e-12)
+        val z = pds(at) / math.max(top.dists(k - 1), 1e-12)
         stop = stops(z * z)
       }
-      i += 1
     }
-    val top: Array[Neighbor] =
-      heap.dequeueAll.toArray.reverse.map((e: (Double, Long)) => Neighbor(e._2, e._1))
-    QueryResult(top, 1, count)
+    QueryResult(Array.tabulate(top.size)(j => Neighbor(ids(top.positions(j)), top.dists(j))), 1, count)
   }
 }

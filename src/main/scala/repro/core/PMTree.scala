@@ -90,7 +90,7 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
     var slot = 0
     while (slot < points.length) {
-      val pair = insert(root, null, slot)
+      val pair = insert(root, slot)
       if (pair != null) {
         val newRoot = new Inner
         newRoot.routes += pair._1
@@ -111,10 +111,9 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     tighten()
   }
 
-  /** Inserts `slot` below `node`, whose routing entry has center
-    * `parentCenter` (null at the root); returns the two routing entries
-    * that replace `node` if it overflowed and split, else null. */
-  private def insert(node: Node, parentCenter: Array[Double], slot: Int): (RoutingEntry, RoutingEntry) = {
+  /** Inserts `slot` below `node`; returns the two routing entries that
+    * replace `node` if it overflowed and split, else null. */
+  private def insert(node: Node, slot: Int): (RoutingEntry, RoutingEntry) = {
     val overflow = node match {
       case l: Leaf =>
         l.slots = l.slots :+ slot
@@ -139,13 +138,11 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
         }
         val re = in.routes(best)
         if (bestDist > re.radius) re.radius = bestDist
-        val pair = insert(re.child, re.center, slot)
+        val pair = insert(re.child, slot)
         if (pair != null) {
           in.routes.remove(best)
-          Seq(pair._1, pair._2).foreach { r =>
-            r.parentDist = if (parentCenter == null) 0.0 else Vec.dist(parentCenter, r.center)
-            in.routes += r
-          }
+          in.routes += pair._1
+          in.routes += pair._2
         }
         in.routes.length > capacity
     }
@@ -191,7 +188,7 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
       }
       // the entry's farthest point from its new center, at most
       val cover = node match {
-        case in: Inner => in.routes(i).parentDist = parentDist; parentDist + in.routes(i).radius
+        case in: Inner => parentDist + in.routes(i).radius
         case _         => parentDist
       }
       if (toFirst(i)) { n1 += 1; if (cover > r1) r1 = cover }
@@ -293,10 +290,14 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     * to the largest distance from its center (insertion keeps only an upper
     * bound, parentDist + child radius; the exact radius shrinks the PM-tree
     * regions, improving both real pruning and the Eq. 7 cost estimate), its
-    * hyper-rings to each pivot's range of distances, and, for an entry
-    * above a leaf, each leaf entry's parent distance. */
+    * hyper-rings to each pivot's range of distances, and each entry's
+    * parent distance in the node below it, leaf entries' and routing
+    * entries' alike (the root's entries keep 0). */
   private def tighten(): Unit = eachRoute { (r, below) =>
-    val aboveLeaf = r.child.isInstanceOf[Leaf]
+    val aboveLeaf = r.child match {
+      case in: Inner => in.routes.foreach(e => e.parentDist = Vec.dist(r.center, e.center)); false
+      case _         => true
+    }
     r.radius = 0.0
     r.hrMin = Array.fill(s)(Double.MaxValue)
     r.hrMax = Array.fill(s)(Double.MinValue)

@@ -33,32 +33,29 @@ trait PartIndex extends Serializable {
     * ones worth verifying: truncating in traversal order would drop true
     * neighbors arbitrarily. Projected distances are m-dimensional and
     * already paid for inside the tree; only the kept candidates incur
-    * d-dimensional verification. Also returns whether the cap cut.
+    * d-dimensional verification.
     */
-  private def candidates(qProj: Array[Double], r: Double, cap: Int): (Hits, Boolean) = {
+  private def candidates(qProj: Array[Double], r: Double, cap: Int): Hits = {
     val hits = new Hits
     search(qProj, r, hits)
-    (hits, hits.keepWithin(cap))
+    hits.keepWithin(cap)
+    hits
   }
 
-  /** The candidates of `probe`, with their projected distances: in
-    * traversal order when the cap did not cut, else ascending by projected
-    * distance, equal distances in traversal order. */
+  /** The candidates of `probe`, in traversal order, with their projected
+    * distances. */
   def rangeSearch(qProj: Array[Double], r: Double, cap: Int): Iterator[(IndexedPoint, Double)] = {
-    val (hits, cut) = candidates(qProj, r, cap)
-    val order = if (cut) StableOrder.of(Arrays.copyOf(hits.dists, hits.size)) else Array.range(0, hits.size)
-    order.iterator.map(i => (points.point(hits.slots(i)), hits.dists(i)))
+    val hits = candidates(qProj, r, cap)
+    Iterator.range(0, hits.size).map(i => (points.point(hits.slots(i)), hits.dists(i)))
   }
 
   /** One query's round on this partition: the candidates within projected
     * radius r (at most `cap`, see `candidates`), verified against the
-    * original-space query q and summarized by `TopK.of`. Where the cap cut,
-    * equal true distances are ordered by projected distance, then
-    * traversal order: the order of `rangeSearch`, so the answer is the one
-    * a verification of the candidates in that order gives. */
+    * original-space query q in traversal order and summarized by `TopK.of`,
+    * so equal true distances keep traversal order. */
   def probe(q: Array[Double], qProj: Array[Double], r: Double, cap: Int, k: Int, cr: Double): TopK = {
-    val (hits, cut) = candidates(qProj, r, cap)
-    points.verify(q, hits.slots, hits.size, k, cr, if (cut) hits.dists else null)
+    val hits = candidates(qProj, r, cap)
+    points.verify(q, hits.slots, hits.size, k, cr)
   }
 }
 

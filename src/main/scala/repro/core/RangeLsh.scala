@@ -104,11 +104,8 @@ final class RangeLsh(
     val bp = bcPivots
     Points.indexed[PartIndex](rows, d) { pts =>
       val f = bf.value
-      val proj = pts.flatMap { p =>
-        val pr = f.project(p.vec)
-        Slots.requireRow(p.id, "projection", pr, f.m) // huge coordinates can overflow to ∞
-        pr
-      }
+      // huge coordinates can overflow to ∞
+      val proj = pts.flatMap(p => Slots.requireRow(p.id, "projection", f.project(p.vec), f.m))
       if (pm) new PMTreePart(PMTree.build(pts, proj, bp.value, cap))
       else new RTreePart(RTree.build(pts, proj, f.m, cap))
     }
@@ -144,8 +141,8 @@ final class RangeLsh(
     val tt = t
     val cap = partCap(k)
     val f = family
-    TopK.radiusRounds(indexes, queries, k, n, betaNk(k), rMin(k), params.c, levels = 1)(q => (q, f.project(q))) {
-      case (part, (q, qp), rs, crs) => Array.tabulate(rs.length)(j => part.probe(q, qp, tt * rs(j), cap, k, crs(j)))
+    TopK.radiusRounds(indexes, queries, k, n, betaNk(k), rMin(k), params.c, levels = 1)(f.project) {
+      (part, q, qp, rs, crs) => Array.tabulate(rs.length)(j => part.probe(q, qp, tt * rs(j), cap, k, crs(j)))
     }
   }
 
@@ -155,6 +152,7 @@ final class RangeLsh(
   def ballCover(q: Array[Double], r: Double): Option[Neighbor] = {
     Vec.requireFinite(Array(q))
     val qp = family.project(q)
+    Vec.requireFinite(Array(qp), "projection")
     val cap = partCap(1)
     // each partition ships its candidate count and its closest candidate
     val rows = TopK.gather(indexes, Array((q, qp, t * r, params.c * r))) { part =>

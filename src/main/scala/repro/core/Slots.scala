@@ -38,15 +38,12 @@ final class Slots(val ids: Array[Long], val proj: Array[Double], val vecs: Array
   }
 
   /** The first `size` of `slots` verified against the original-space query
-    * q (`dists`), in that order, and summarized by `TopK.of`; `ties`, when
-    * not null, orders equal true distances before their positions do (see
-    * `TopK.of`). */
-  def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double,
-             ties: Array[Double] = null): TopK = {
+    * q (`dists`), in that order, and summarized by `TopK.of`. */
+  def verify(q: Array[Double], slots: Array[Int], size: Int, k: Int, cr: Double): TopK = {
     val out = new Array[Long](size)
     var i = 0
     while (i < size) { out(i) = ids(slots(i)); i += 1 }
-    TopK.of(out, dists(q, slots, size), k, cr, ties)
+    TopK.of(out, dists(q, slots, size), k, cr)
   }
 }
 
@@ -75,12 +72,14 @@ object Slots {
   /** `points` in input order, without projections (m = 0). */
   def of(points: Array[Point]): Slots = of(points, Array.emptyDoubleArray, 0, Array.range(0, points.length))
 
-  /** Rejects a row of the wrong length or with a NaN/∞ entry, naming the point. */
-  def requireRow(id: Long, what: String, row: Array[Double], len: Int): Unit = {
+  /** `row`, or, if it has the wrong length or a NaN/∞ entry, an
+    * IllegalArgumentException naming the point. */
+  def requireRow(id: Long, what: String, row: Array[Double], len: Int): Array[Double] = {
     require(row.length == len, s"point $id: $what has ${row.length} coordinates, expected $len")
     var i = 0
     while (i < len && java.lang.Double.isFinite(row(i))) i += 1
     require(i == len, s"point $id: $what has a non-finite coordinate")
+    row
   }
 
   /** The rows of `width` values of `a`, in `order`. */
@@ -115,13 +114,12 @@ private[core] final class Hits {
   }
 
   /** Keeps the `cap` nearest by projected distance, equal distances in
-    * traversal order, and returns whether it cut anything. The kept hits
-    * stay in traversal order: a quickselect on a copy of the distances
-    * finds v, the cap-th smallest, and one pass keeps every hit below v
-    * plus the first ties at v, the set a stable sort's first `cap` would
-    * hold. Distances are never NaN (each passed `≤ r`), so the primitive
-    * comparisons order them as `java.lang.Double.compare` does. */
-  def keepWithin(cap: Int): Boolean = size > cap && {
+    * traversal order, in traversal order: a quickselect on a copy of the
+    * distances finds v, the cap-th smallest, and one pass keeps every hit
+    * below v plus the first ties at v, the set a stable sort's first `cap`
+    * would hold. Distances are never NaN (each passed `≤ r`), so the
+    * primitive comparisons order them as `java.lang.Double.compare` does. */
+  def keepWithin(cap: Int): Unit = if (size > cap) {
     val v = Hits.select(Arrays.copyOf(dists, size), size, cap - 1)
     var below = 0
     var i = 0
@@ -138,7 +136,6 @@ private[core] final class Hits {
       i += 1
     }
     size = kept
-    true
   }
 }
 

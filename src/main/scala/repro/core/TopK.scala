@@ -6,11 +6,11 @@ import scala.reflect.ClassTag
 
 /** What one partition reports for one query in a round of Algorithms 1/2:
   * its candidate count |C_p|, how many of those lie within c·r, and its k
-  * nearest verified candidates, ascending by distance with ties in
-  * range-result order (`PartIndex.probe`: a capped partition's by
-  * projected distance first). The driver needs no more: the termination tests use
-  * the sums of the two counts, and the answer (the k smallest of the union
-  * of the C_p) is the k smallest of the union of the per-partition top-k.
+  * nearest verified candidates, ascending by distance, equal distances in
+  * the order the candidates arrived (`PartIndex.probe`: traversal order).
+  * The driver needs no more: the termination tests use the sums of the two
+  * counts, and the answer (the k smallest of the union of the C_p) is the
+  * k smallest of the union of the per-partition top-k.
   */
 final case class TopK(count: Int, withinCr: Int, ids: Array[Long], dists: Array[Double]) {
   def neighbors: Array[Neighbor] = Array.tabulate(ids.length)(i => Neighbor(ids(i), dists(i)))
@@ -20,13 +20,11 @@ object TopK {
 
   /** Summary of one partition's verified candidates, given in range-result
     * order; `cr` is c·r, computed on the driver so every executor compares
-    * against the same double. Equal distances keep input order, or, when
-    * `ties` is given (one value per candidate), go by ascending `ties`
-    * first. */
-  def of(ids: Array[Long], dists: Array[Double], k: Int, cr: Double, ties: Array[Double] = null): TopK = {
+    * against the same double. Equal distances keep input order. */
+  def of(ids: Array[Long], dists: Array[Double], k: Int, cr: Double): TopK = {
     var within = 0
     dists.foreach(d => if (d <= cr) within += 1)
-    val pos = smallest(dists, k, ties)
+    val pos = smallest(dists, k)
     TopK(ids.length, within, pos.map(ids), pos.map(dists))
   }
 
@@ -78,10 +76,12 @@ object TopK {
 
   /** Algorithm 2's radius loop (§4.4), batched, `levels` radii per job:
     * every job is one `gather` of the still-active queries, each at its
-    * own ladder r, c·r, …, c^(levels−1)·r, starting at r0. `prepare` turns
-    * a query into what the probes read (e.g. with its projection), once per
-    * query, and `probe(part, query, radii, crs)` runs one query's ladder on
-    * one partition and returns one `TopK` per radius; each radius's c·r
+    * own ladder r, c·r, …, c^(levels−1)·r, starting at r0. `project` maps a
+    * query to the space the index searches, once per query, and a query
+    * whose projection has a NaN or ∞ entry is rejected before any job: it
+    * would fail every radius test, so no r would ever stop it.
+    * `probe(part, q, q', radii, crs)` runs one query's ladder on one
+    * partition and returns one `TopK` per radius; each radius's c·r
     * (`crs`) is computed here, on the driver, so every executor compares
     * against the same double. The driver merges the ladder level by level:
     * at the first radius whose candidates reach `budget` or n, or k of
@@ -90,21 +90,21 @@ object TopK {
     * the next job at c^levels·r. Each rung is the r of r ← c·r applied that
     * many times, so for any `levels` the answers, rounds and candidate
     * counts are those of one job per radius (`levels` = 1). */
-  def radiusRounds[P, Q: ClassTag](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long,
-                                   budget: Long, r0: Double, c: Double, levels: Int)(prepare: Array[Double] => Q)(
-                                   probe: (P, Q, Array[Double], Array[Double]) => Array[TopK]): Array[QueryResult] = {
+  def radiusRounds[P](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long, budget: Long, r0: Double,
+                      c: Double, levels: Int)(project: Array[Double] => Array[Double])(
+                      probe: (P, Array[Double], Array[Double], Array[Double], Array[Double]) => Array[TopK]): Array[QueryResult] = {
     requireK(k)
     Vec.requireFinite(queries)
-    val prepared = queries.map(prepare)
+    val projected = queries.map(project)
+    Vec.requireFinite(projected, "projection")
     val radii = Array.fill(queries.length)(r0)
     val results = new Array[QueryResult](queries.length)
     var active = queries.indices.toArray
     var jobs = 0
     while (active.nonEmpty) {
       val ladders = active.map(qi => Array.iterate(radii(qi), levels)(_ * c))
-      val rows = gather(parts, active.zip(ladders).map { case (qi, rs) => (prepared(qi), rs, rs.map(c * _)) }) {
-        part => { case (q, rs, crs) => probe(part, q, rs, crs) }
-      }
+      val batch = active.zip(ladders).map { case (qi, rs) => (queries(qi), projected(qi), rs, rs.map(c * _)) }
+      val rows = gather(parts, batch)(part => { case (q, qp, rs, crs) => probe(part, q, qp, rs, crs) })
       val next = Array.newBuilder[Int]
       var i = 0
       while (i < active.length) {
@@ -129,29 +129,32 @@ object TopK {
     * neighbour. */
   def requireK(k: Int): Unit = require(k >= 1, s"k must be at least 1, got $k")
 
-  /** Positions of the k smallest `dists`, ascending, equal distances by
-    * ascending `ties` when given, then in input order: the first k
-    * positions of a stable sort under the same total order as
-    * `Ordering.Double`, kept in a sorted buffer of at most k. */
-  private[core] def smallest(dists: Array[Double], k: Int, ties: Array[Double] = null): Array[Int] = {
-    // > 0 when position a goes after position b
-    def cmp(a: Int, b: Int): Int = {
-      val c = java.lang.Double.compare(dists(a), dists(b))
-      if (c != 0 || ties == null) c else java.lang.Double.compare(ties(a), ties(b))
-    }
-    val buf = new Array[Int](math.max(0, math.min(k, dists.length)))
-    var size = 0
+  /** Positions of the k smallest `dists`, ascending, equal distances in
+    * input order: the first k positions of a stable sort under the same
+    * total order as `Ordering.Double`. */
+  private[core] def smallest(dists: Array[Double], k: Int): Array[Int] = {
+    val top = new Smallest(math.max(0, math.min(k, dists.length)))
     var i = 0
-    while (i < dists.length && buf.length > 0) {
-      if (size < buf.length || cmp(i, buf(size - 1)) < 0) {
-        // insert after every entry <= i; when full, the last entry drops out
-        var j = if (size < buf.length) size else size - 1
-        while (j > 0 && cmp(buf(j - 1), i) > 0) { buf(j) = buf(j - 1); j -= 1 }
-        buf(j) = i
-        if (size < buf.length) size += 1
+    while (i < dists.length) { top.offer(dists(i), i); i += 1 }
+    top.positions
+  }
+
+  /** The `cap` smallest of the distances offered one at a time, each with a
+    * position, ascending under `java.lang.Double.compare` in `dists` and
+    * `positions` (0 until size), equal distances in offer order: a sorted
+    * buffer that, once full, only a distance below its largest enters. */
+  final class Smallest(cap: Int) {
+    val dists = new Array[Double](cap)
+    val positions = new Array[Int](cap)
+    var size = 0
+
+    def offer(d: Double, pos: Int): Unit =
+      if (size < cap || (cap > 0 && java.lang.Double.compare(d, dists(size - 1)) < 0)) {
+        // insert after every entry <= d; when full, the last entry drops out
+        var j = if (size < cap) size else size - 1
+        while (j > 0 && java.lang.Double.compare(dists(j - 1), d) > 0) { dists(j) = dists(j - 1); positions(j) = positions(j - 1); j -= 1 }
+        dists(j) = d; positions(j) = pos
+        if (size < cap) size += 1
       }
-      i += 1
-    }
-    buf
   }
 }

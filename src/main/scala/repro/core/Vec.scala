@@ -56,12 +56,14 @@ object Vec {
   /** ||a − row|| for the row of `a.length` values starting at `flat(off)`. */
   def dist(a: Array[Double], flat: Array[Double], off: Int): Double = math.sqrt(sqDist(a, flat, off))
 
-  /** Rejects query batches with a NaN or ∞ coordinate. Such a query fails
-    * every `dist ≤ r` test, so a loop that grows r until enough points fall
-    * inside would never end. */
-  def requireFinite(queries: Array[Array[Double]]): Unit =
-    queries.indices.foreach { i =>
-      require(queries(i).forall(java.lang.Double.isFinite), s"query $i has a non-finite coordinate")
+  /** Rejects query rows with a NaN or ∞ entry, naming the query: its
+    * coordinates, or (`what` = "projection") its projections or hash
+    * values, into which a finite query with huge coordinates can overflow.
+    * Such a query fails every `dist ≤ r` and window test, so a loop that
+    * grows r until enough points fall inside would never end. */
+  def requireFinite(rows: Array[Array[Double]], what: String = "coordinate"): Unit =
+    rows.indices.foreach { i =>
+      require(rows(i).forall(java.lang.Double.isFinite), s"query $i has a non-finite $what")
     }
 
   /** Element-wise mean of a non-empty collection of vectors. */

@@ -51,6 +51,23 @@ class EnginesSpec extends SparkSpec with TimeLimits {
     points.unpersist()
   }
 
+  test("a finite query whose projection overflows is rejected, naming it, by every engine's knn and by ballCover") {
+    val points = HighDim.generate(spark, cfg).persist()
+    val batch = Array(HighDim.queryVecs(cfg, 1).head, Array.fill(cfg.d)(1.7e308))
+    def rejects(name: String)(call: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](call)
+      assert(e.getMessage.contains("query 1 has a non-finite projection"), s"$name: ${e.getMessage}")
+    }
+    failAfter(20.seconds) {
+      withEngines(points)(_.foreach { case (name, knn, _) => rejects(name)(knn(batch, k)) })
+      val pm = new RangeLsh(spark, points, LshParams(partitions = parts, seed = 3), usePmTree = true)
+      val e = intercept[IllegalArgumentException](pm.ballCover(batch(1), 1.0))
+      assert(e.getMessage.contains("non-finite projection"), e.getMessage)
+      pm.unpersist()
+    }
+    points.unpersist()
+  }
+
   test("200 copies of one point among 20 others: every engine returns min(k, n) neighbours at their true distances") {
     val s = spark
     import s.implicits._

@@ -279,6 +279,17 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new MultiProbe(spark, _, partitions = 4, seed = 3))
   }
 
+  test("building over a point whose projection overflows fails, naming the point") {
+    val bad = Point(123458L, Array.fill(cfg.d)(1.7e308))
+    // in the width sample, as every point of 101 is
+    assertBuildRejects(points, bad)(new MultiProbe(spark, _, partitions = 4, seed = 3))
+    // outside it: the partition's own hashing
+    val mp = new MultiProbe(spark, points, partitions = 4, seed = 3, probesPerTable = 5)
+    val e = intercept[IllegalArgumentException](MultiProbePart.of(points.take(3) :+ bad, mp.lshs))
+    assert(e.getMessage.contains("point 123458: projection"), e.getMessage)
+    mp.unpersist()
+  }
+
   test("building over empty data fails, saying the data is empty") {
     assertRejectsEmpty(new MultiProbe(spark, _, partitions = 4, seed = 3))
   }

@@ -213,6 +213,10 @@ class QalshSpec extends SparkSpec with TimeLimits {
     assertBuildRejects(points, Point(123457L, Array.fill(cfg.d - 1)(0.5)))(new Qalsh(spark, _, partitions = 4, seed = 3))
   }
 
+  test("building over a point whose projection overflows fails, naming the point") {
+    assertBuildRejects(points, Point(123458L, Array.fill(cfg.d)(1.7e308)))(new Qalsh(spark, _, partitions = 4, seed = 3))
+  }
+
   test("building over empty data fails, saying the data is empty") {
     assertRejectsEmpty(new Qalsh(spark, _, partitions = 4, seed = 3))
   }

@@ -84,6 +84,27 @@ class SrsSpec extends SparkSpec with TimeLimits {
     assert(StableOrder.of(tied).toSeq == Seq(3, 5, 0, 1, 2, 4))
   }
 
+  test("the replay answers the first k of a stable sort of its accesses by verified distance: ties in access order") {
+    val rng = new scala.util.Random(23)
+    for (trial <- 0 until 300) {
+      // verified distances on a few levels, so ties fall inside the k
+      // kept and at the k-th place
+      val pds = Array.fill(1 + rng.nextInt(40))(rng.nextInt(6) * 0.5)
+      val dds = pds.map(_ => (1 + rng.nextInt(1 + trial % 4)) * 0.25)
+      val ids = pds.indices.map(i => 1000L + i).toArray
+      val kk = 1 + rng.nextInt(12)
+      val budget = 1L + rng.nextInt(pds.length + 1)
+      val res = Srs.replay(ids, pds, dds, kk, budget, _ => false)
+      val accessed = StableOrder.of(pds).take(res.candidates)
+      assert(res.candidates == math.min(budget, pds.length.toLong), s"trial $trial")
+      val want = accessed.sortBy(dds(_)).take(kk).map(i => Neighbor(ids(i), dds(i)))
+      assert(res.neighbors.toSeq == want.toSeq, s"trial $trial")
+    }
+    // one stream of five equal verified distances: the first three accessed
+    val tied = Srs.replay(Array(5L, 6L, 7L, 8L, 9L), Array(0.1, 0.2, 0.3, 0.4, 0.5), Array.fill(5)(1.0), 3, 5, _ => false)
+    assert(tied.neighbors.map(_.id).toSeq == Seq(5L, 6L, 7L))
+  }
+
   test("the stop bound skips only cdf calls that could not fire: replays stop at the same access") {
     val rng = new scala.util.Random(17)
     var early = 0

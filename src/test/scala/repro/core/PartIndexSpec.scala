@@ -6,9 +6,10 @@ import scala.util.Random
 
 /** A partition index's primitive probe against a boxed reference: the
   * points within r (membership checked by brute force), kept whole when
-  * they fit the cap, else stable-sorted by projected distance and cut to
-  * the cap, then verified and summarized by `TopK.of`. The reference takes
-  * equal projected distances in the order `range` returns them.
+  * they fit the cap, else the first `cap` of a stable sort by projected
+  * distance, kept in traversal order, then verified and summarized by
+  * `TopK.of`. The reference takes equal projected distances in the order
+  * `range` returns them.
   */
 class PartIndexSpec extends AnyFunSuite {
 
@@ -53,7 +54,8 @@ class PartIndexSpec extends AnyFunSuite {
     * `inRange`, the ball in traversal order. */
   private def checkProbe(part: PartIndex, inRange: IndexedSeq[(IndexedPoint, Double)], q: Array[Double],
                          qp: Array[Double], r: Double, cap: Int, k: Int, cr: Double, clue: String): Unit = {
-    val kept = if (inRange.length <= cap) inRange else inRange.sortBy(_._2).take(cap)
+    val nearest = inRange.indices.sortBy(inRange(_)._2).take(cap).toSet
+    val kept = inRange.indices.filter(nearest).map(inRange)
     val want = TopK.of(kept.map(_._1.id).toArray, kept.map(c => Vec.dist(q, c._1.vec)).toArray, k, cr)
     val got = part.probe(q, qp, r, cap, k, cr)
     assert(got.count == want.count && got.withinCr == want.withinCr, clue)
@@ -111,9 +113,8 @@ class PartIndexSpec extends AnyFunSuite {
       val rank = new Array[Int](dists.length)
       StableOrder.of(dists).zipWithIndex.foreach { case (pos, r) => rank(pos) = r }
       val want = dists.indices.filter(rank(_) < cap)
-      val cut = hits.keepWithin(cap)
-      cut == (dists.length > cap) &&
-        hits.slots.take(hits.size).toSeq == want.map(1000 + _) &&
+      hits.keepWithin(cap)
+      hits.slots.take(hits.size).toSeq == want.map(1000 + _) &&
         hits.dists.take(hits.size).toSeq == want.map(dists(_))
     }
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed)

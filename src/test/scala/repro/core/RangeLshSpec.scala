@@ -259,6 +259,10 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     rejectsPoint(Point(123457L, Array.fill(cfg.d - 1)(0.5)))
   }
 
+  test("building over a point whose projection overflows fails, naming the point") {
+    rejectsPoint(Point(123458L, Array.fill(cfg.d)(1.7e308)))
+  }
+
   test("building over empty data fails, saying the data is empty") {
     assertRejectsEmpty(new RangeLsh(spark, _, params, usePmTree = true))
   }

@@ -52,9 +52,9 @@ class TopKSpec extends SparkSpec {
     val parts = spark.sparkContext.parallelize(script.toSeq, 4)
     val n = script.map(_.length.toLong).sum
     def run(levels: Int) = TopK.radiusRounds(parts, Array.tabulate(nq)(q => Array(q.toDouble)), k, n, budget, r0, c,
-      levels)(_(0).toInt) { (part, q, rs, crs) =>
+      levels)(identity) { (part, q, _, rs, crs) =>
       Array.tabulate(rs.length) { j =>
-        val in = part.filter(e => e._1 == q && e._3 <= rs(j))
+        val in = part.filter(e => e._1 == q(0).toInt && e._3 <= rs(j))
         TopK.of(in.map(_._2), in.map(_._4), k, crs(j))
       }
     }

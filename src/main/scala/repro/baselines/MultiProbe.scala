@@ -7,74 +7,36 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 
-/** One hash table of a Multi-Probe partition in flat arrays. Bucket b has
-  * the fingerprint `keys(b)`, the exact mB coordinates
-  * `coords(b·mB until b·mB + mB)` and the member slots
-  * `members(offsets(b) until offsets(b + 1))`, ascending. Buckets that share
-  * a fingerprint are told apart by their coordinates.
+/** One hash table of a Multi-Probe partition in flat arrays, its buckets in
+  * lexicographic order of their coordinates, no two with the same ones.
+  * Bucket b has the mB coordinates `coords(b·mB until b·mB + mB)` and the
+  * member slots `members(offsets(b) until offsets(b + 1))`, ascending.
   */
-final class BucketTable(val mB: Int, val keys: Array[Long], val coords: Array[Int],
-                        val offsets: Array[Int], val members: Array[Int]) extends Serializable {
+final class BucketTable(val mB: Int, val coords: Array[Int], val offsets: Array[Int], val members: Array[Int])
+    extends Serializable {
+  def buckets: Int = offsets.length - 1
 
-  /** Open addressing over the buckets, at most half full: each entry is a
-    * bucket number or −1, and bucket b sits in the first free entry at or
-    * after `BucketTable.mix(keys(b))`, wrapping around. */
-  private val index: Array[Int] = {
-    val slots = new Array[Int](Integer.highestOneBit(math.max(1, 2 * keys.length - 1)) << 1)
-    Arrays.fill(slots, -1)
-    var b = 0
-    while (b < keys.length) {
-      var h = BucketTable.mix(keys(b)) & (slots.length - 1)
-      while (slots(h) >= 0) h = (h + 1) & (slots.length - 1)
-      slots(h) = b
-      b += 1
+  /** The first bucket whose leading coordinate is at least c, or `buckets`. */
+  def firstFrom(c: Long): Int = {
+    var lo = 0
+    var hi = buckets
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (coords(mid * mB) < c) lo = mid + 1 else hi = mid
     }
-    slots
-  }
-
-  /** The bucket with fingerprint `fp` and coordinates
-    * `probe(off until off + mB)`, or −1 if no point hashed there. */
-  def find(fp: Long, probe: Array[Int], off: Int): Int = {
-    var h = BucketTable.mix(fp) & (index.length - 1)
-    while (index(h) >= 0) {
-      val b = index(h)
-      if (keys(b) == fp && BucketTable.compare(coords, b * mB, probe, off, mB) == 0) return b
-      h = (h + 1) & (index.length - 1)
-    }
-    -1
+    lo
   }
 }
 
 object BucketTable {
 
-  /** A 64-bit fingerprint of the mB bucket coordinates `c(off until off + mB)`:
-    * a polynomial hash of the bucket vector, as E2LSH keys its buckets
-    * (Datar et al. 2004). Equal buckets get equal fingerprints; the table
-    * resolves the rare unequal pair that shares one. */
-  def fingerprint(c: Array[Int], off: Int, mB: Int): Long = {
-    var h = 0L
-    var i = 0
-    while (i < mB) { h = h * 0x9E3779B97F4A7C15L + c(off + i); i += 1 }
-    h
-  }
-
-  /** The index entry a fingerprint starts at: its bits mixed by the
-    * MurmurHash3 64-bit finalizer, so that the low bits depend on every
-    * coordinate. */
-  private def mix(fp: Long): Int = {
-    var h = fp
-    h = (h ^ (h >>> 33)) * 0xFF51AFD7ED558CCDL
-    h = (h ^ (h >>> 33)) * 0xC4CEB9FE1A85EC53L
-    (h ^ (h >>> 33)).toInt
-  }
-
   /** The table over slots 0 until n, slot j in the bucket with coordinates
-    * `coords(j·mB until j·mB + mB)` and fingerprint `fps(j)`. */
-  def build(coords: Array[Int], fps: Array[Long], mB: Int): BucketTable = {
-    val n = fps.length
+    * `coords(j·mB until j·mB + mB)`. */
+  def build(coords: Array[Int], n: Int, mB: Int): BucketTable = {
     def cmp(a: Int, b: Int): Int = {
-      val c = JLong.compare(fps(a), fps(b))
-      if (c != 0) c else compare(coords, a * mB, coords, b * mB, mB)
+      var i = 0
+      while (i < mB && coords(a * mB + i) == coords(b * mB + i)) i += 1
+      if (i == mB) 0 else Integer.compare(coords(a * mB + i), coords(b * mB + i))
     }
     // stable, so each bucket's members stay in ascending slot order
     val order = StableOrder(n, cmp(_, _))
@@ -86,45 +48,24 @@ object BucketTable {
       i += 1
     }
     starts(buckets) = n
-    val keys = new Array[Long](buckets)
     val bucketCoords = new Array[Int](buckets * mB)
     var b = 0
     while (b < buckets) {
-      val s = order(starts(b))
-      keys(b) = fps(s)
-      System.arraycopy(coords, s * mB, bucketCoords, b * mB, mB)
+      System.arraycopy(coords, order(starts(b)) * mB, bucketCoords, b * mB, mB)
       b += 1
     }
-    new BucketTable(mB, keys, bucketCoords, Arrays.copyOf(starts, buckets + 1), order)
-  }
-
-  /** Lexicographic order of `a(ao until ao + len)` and `b(bo until bo + len)`. */
-  private def compare(a: Array[Int], ao: Int, b: Array[Int], bo: Int, len: Int): Int = {
-    var i = 0
-    while (i < len && a(ao + i) == b(bo + i)) i += 1
-    if (i == len) 0 else Integer.compare(a(ao + i), b(bo + i))
+    new BucketTable(mB, bucketCoords, Arrays.copyOf(starts, buckets + 1), order)
   }
 }
 
 /** One query's probing sequence in one table, as the tasks receive it: the
-  * home bucket's mB coordinates, the 2·mB boundary entries in ascending
-  * distance from the query (`zx`; entry 2i is δ = −1 on dimension i, entry
-  * 2i + 1 is δ = +1), and each probe's perturbation set as a bitmask over
-  * those sorted entries, the home bucket (mask 0) first.
+  * home bucket's mB coordinates and, in probing order, each probe's offset
+  * δ ∈ {−1, 0, 1}^mB from home as the base-3 code Σ_i (δ_i + 1)·3^i, the
+  * home bucket first. A code takes 16 bits; `code` reads it unsigned.
   */
-final class Probes(val home: Array[Int], val zx: Array[Int], val masks: Array[Long]) extends Serializable {
-  def size: Int = masks.length
-
-  /** Writes probe p's mB coordinates to `out(off until off + mB)`. */
-  def decode(p: Int, out: Array[Int], off: Int): Unit = {
-    System.arraycopy(home, 0, out, off, home.length)
-    var rest = masks(p)
-    while (rest != 0) {
-      val e = zx(JLong.numberOfTrailingZeros(rest))
-      out(off + e / 2) += (if (e % 2 == 0) -1 else 1)
-      rest &= rest - 1
-    }
-  }
+final class Probes(val home: Array[Int], val codes: Array[Short]) extends Serializable {
+  def size: Int = codes.length
+  def code(p: Int): Int = codes(p) & 0xFFFF
 }
 
 /** One partition of a Multi-Probe index: its points in input order, and
@@ -134,30 +75,59 @@ final class Probes(val home: Array[Int], val zx: Array[Int], val masks: Array[Lo
 final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) extends Serializable {
   def size: Int = points.size
 
-  /** Writes to `out` the slots in the buckets `probes(t)` of every table t,
-    * each once, in first-probed order, and returns how many. A slot s counts
-    * as seen once `mark(s) == stamp`, so the caller passes a fresh stamp per
-    * query and owns `mark`: the index stays read-only. */
-  def candidates(probes: Array[Probes], mark: Array[Int], stamp: Int, out: Array[Int]): Int = {
+  /** Writes to `buf.found` the slots in the buckets `probes(t)` of every
+    * table t, each once, in first-probed order, and returns how many.
+    *
+    * Each table's buckets are matched against the probes, not the probes
+    * looked up: the probes' ranks go into `buf.rank` by code, and every
+    * bucket whose leading coordinate lies within one step of home (a range
+    * of the sorted buckets) computes its offset from home, skips if it is
+    * more than one step away in some dimension, and else reads its rank.
+    * The hits are emitted in rank order. Distinct buckets have distinct
+    * offsets, so each probe matches at most one bucket, and the slots come
+    * out as if each probe were looked up in turn. */
+  def candidates(probes: Array[Probes], buf: MultiProbePart.Buffers): Int = {
+    buf.stamp += 1
+    val rank = buf.rank
     var size = 0
     var t = 0
     while (t < tables.length) {
       val table = tables(t)
+      val mB = table.mB
       val ps = probes(t)
-      val bucket = new Array[Int](table.mB)
+      val home = ps.home
       var p = 0
-      while (p < ps.size) {
-        ps.decode(p, bucket, 0)
-        val b = table.find(BucketTable.fingerprint(bucket, 0, table.mB), bucket, 0)
-        if (b >= 0) {
-          var i = table.offsets(b)
-          while (i < table.offsets(b + 1)) {
-            val s = table.members(i)
-            if (mark(s) != stamp) { mark(s) = stamp; out(size) = s; size += 1 }
-            i += 1
-          }
+      while (p < ps.size) { rank(ps.code(p)) = p + 1; p += 1 }
+      var hits = 0
+      var b = table.firstFrom(home(0) - 1L)
+      val end = table.firstFrom(home(0) + 2L)
+      while (b < end) {
+        var code = 0
+        var unit = 1
+        var i = 0
+        while (i < mB && code >= 0) {
+          // in Long, so no bucket at the Int range's edge wraps to the other
+          val delta = table.coords(b * mB + i).toLong - home(i)
+          code = if (delta < -1 || delta > 1) -1 else code + (delta.toInt + 1) * unit
+          unit *= 3
+          i += 1
         }
-        p += 1
+        if (code >= 0 && rank(code) > 0) { buf.hits(hits) = rank(code).toLong << 32 | b; hits += 1 }
+        b += 1
+      }
+      p = 0
+      while (p < ps.size) { rank(ps.code(p)) = 0; p += 1 }
+      Arrays.sort(buf.hits, 0, hits)
+      var h = 0
+      while (h < hits) {
+        val hb = buf.hits(h).toInt
+        var i = table.offsets(hb)
+        while (i < table.offsets(hb + 1)) {
+          val s = table.members(i)
+          if (buf.mark(s) != buf.stamp) { buf.mark(s) = buf.stamp; buf.found(size) = s; size += 1 }
+          i += 1
+        }
+        h += 1
       }
       t += 1
     }
@@ -167,22 +137,34 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
 
 object MultiProbePart {
 
+  /** One task's buffers for `candidates` on `part`, reused query after
+    * query, so the index stays read-only: the candidates found (`found`);
+    * slot s is seen in the current query once `mark(s) == stamp`; `rank`
+    * holds each probe code's rank + 1 in the table being matched, 0 for
+    * every code between tables; `hits` one table's matches as
+    * (rank << 32 | bucket). */
+  final class Buffers(part: MultiProbePart) {
+    val found = new Array[Int](part.size)
+    private[baselines] val mark = new Array[Int](part.size)
+    private[baselines] var stamp = 0
+    private[baselines] val rank = new Array[Int](MultiProbe.pow3(part.tables.foldLeft(0)(_ max _.mB)))
+    private[baselines] val hits = new Array[Long](part.size)
+  }
+
   /** `points` in slot order, hashed into one table per LSH; a point whose
     * hash coordinates overflow to ∞ or NaN is rejected, named. */
   def of(points: Array[Point], lshs: Array[BucketedLsh]): MultiProbePart = {
     val tables = lshs.map { lsh =>
       val mB = lsh.family.m
       val coords = new Array[Int](points.length * mB)
-      val fps = new Array[Long](points.length)
       var j = 0
       while (j < points.length) {
         val x = Slots.requireRow(points(j).id, "projection", lsh.coords(points(j).vec), mB)
         var i = 0
         while (i < mB) { coords(j * mB + i) = math.floor(x(i)).toInt; i += 1 }
-        fps(j) = BucketTable.fingerprint(coords, j * mB, mB)
         j += 1
       }
-      BucketTable.build(coords, fps, mB)
+      BucketTable.build(coords, points.length, mB)
     }
     new MultiProbePart(Slots.of(points), tables)
   }
@@ -258,20 +240,17 @@ final class MultiProbe(
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
     TopK.requireK(k)
     Vec.requireFinite(queries)
-    Vec.requireFinite(queries.map(q => lshs.flatMap(_.coords(q))), "projection")
+    // each query's coordinates in every table, in units of w
+    val coords = queries.map(q => lshs.map(_.coords(q)))
+    Vec.requireFinite(coords.map(_.flatten), "projection")
     // (query, its probes per table), computed on the driver
-    TopK.gather(index, queries.zip(probeBatch(queries).grouped(numTables))) { part =>
-      // per-task buffers; the mark array is stamped with the entry's batch
-      // position + 1
-      val mark = new Array[Int](part.size)
-      val found = new Array[Int](part.size)
-      var stamp = 0
+    TopK.gather(index, queries.zip(probeBatch(coords).grouped(numTables))) { part =>
+      val buf = new MultiProbePart.Buffers(part)
       entry => {
         val (qv, probes) = entry
-        stamp += 1
-        val size = part.candidates(probes, mark, stamp, found)
+        val size = part.candidates(probes, buf)
         // one probing pass, no radius: the within-c·r count is unused
-        part.points.verify(qv, found, size, k, Double.NegativeInfinity)
+        part.points.verify(qv, buf.found, size, k, Double.NegativeInfinity)
       }
     }.map { rows =>
       val res = TopK.merge(rows, k)
@@ -279,13 +258,14 @@ final class MultiProbe(
     }
   }
 
-  /** Every query's probing sequence in every table, query qi's table t at
-    * qi·L + t, generated in parallel on the driver's cores (the common
-    * fork-join pool), each sequence into its own entry. */
-  def probeBatch(queries: Array[Array[Double]]): Array[Probes] = {
-    val out = new Array[Probes](queries.length * numTables)
+  /** Every query's probing sequence in every table, from its coordinates
+    * `coords(qi)(t)` in units of w; query qi's table t lands at qi·L + t.
+    * Generated in parallel on the driver's cores (the common fork-join
+    * pool), each sequence into its own entry. */
+  def probeBatch(coords: Array[Array[Array[Double]]]): Array[Probes] = {
+    val out = new Array[Probes](coords.length * numTables)
     IntStream.range(0, out.length).parallel().forEach { (i: Int) =>
-      out(i) = MultiProbe.probes(lshs(i % numTables), queries(i / numTables), probesPerTable)
+      out(i) = MultiProbe.probes(coords(i / numTables)(i % numTables), lshs(i % numTables).w, probesPerTable)
     }
     out
   }
@@ -295,21 +275,30 @@ final class MultiProbe(
 
 object MultiProbe {
 
-  /** Query-directed probing sequence for one table (Lv et al. 2007): up to
-    * `maxProbes` buckets, the home bucket first, then in ascending score,
-    * each as its perturbation set's mask.
+  /** 3^m. */
+  def pow3(m: Int): Int = {
+    var r = 1
+    var i = 0
+    while (i < m) { r *= 3; i += 1 }
+    r
+  }
+
+  /** Query-directed probing sequence for one table (Lv et al. 2007) of a
+    * query at `coords`, its mB coordinates in units of the bucket width w:
+    * up to `maxProbes` buckets, the home bucket first, then in ascending
+    * score.
     *
     * The 2·mB boundary distances x_i(δ) are sorted ascending into z; a
     * perturbation set is a bitmask over z, scored by the sum of its squared
     * entries. From the start set {0} the min-heap grows sets by shift
     * (replace the largest index j by j + 1) and expand (add j + 1); a set
-    * that perturbs one dimension twice is skipped.
+    * that perturbs one dimension twice is skipped. Beside each set the heap
+    * keeps its probe's code: entry j moves the code by `step(j)`, so shift
+    * and expand update it with the steps they swap in and out.
     */
-  def probes(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Probes = {
-    val mB = lsh.family.m
-    require(2 * mB <= 64, s"a perturbation set of $mB dimensions does not fit a 64-bit mask")
-    val coords = lsh.coords(q) // in units of w
-    val w = lsh.w
+  def probes(coords: Array[Double], w: Double, maxProbes: Int): Probes = {
+    val mB = coords.length
+    require(mB >= 1 && mB <= 10, s"a 16-bit probe code holds 1 to 10 dimensions, got $mB")
     val home = new Array[Int](mB)
     // boundary distances in projected units: entry 2i is δ = −1 on
     // dimension i, entry 2i + 1 is δ = +1
@@ -325,41 +314,34 @@ object MultiProbe {
     // z(j) = x(zx(j)), ascending, equal distances in entry order
     val zx = StableOrder.of(x)
     val z = zx.map(x)
+    // what perturbing z(j) adds to a code: ∓3^i for entry 2i or 2i + 1
+    val step = zx.map(e => (if (e % 2 == 0) -1 else 1) * pow3(e / 2))
 
-    // the home bucket's mask is 0L, the array's initial value
-    var masks = new Array[Long](64)
+    var codes = new Array[Short](64)
+    codes(0) = ((pow3(mB) - 1) / 2).toShort // every δ_i = 0
     var probes = 1
     val heap = new ProbeHeap
-    if (mB > 0) heap.push(z(0) * z(0), 1L)
+    heap.push(z(0) * z(0), 1L, codes(0) + step(0))
     while (probes < maxProbes && heap.size > 0) {
       val score = heap.topScore
       val set = heap.topSet
+      val code = heap.topCode
       heap.pop()
       if (perturbsEachDimOnce(set, zx)) {
-        if (probes == masks.length) masks = Arrays.copyOf(masks, 2 * probes)
-        masks(probes) = set
+        if (probes == codes.length) codes = Arrays.copyOf(codes, 2 * probes)
+        codes(probes) = code.toShort
         probes += 1
       }
       val jmax = 63 - JLong.numberOfLeadingZeros(set)
       if (jmax + 1 < z.length) {
         val zn = z(jmax + 1)
         val zo = z(jmax)
-        heap.push(score - zo * zo + zn * zn, set ^ (1L << jmax) | (1L << (jmax + 1))) // shift
-        heap.push(score + zn * zn, set | (1L << (jmax + 1))) // expand
+        heap.push(score - zo * zo + zn * zn, set ^ (1L << jmax) | (1L << (jmax + 1)),
+          code - step(jmax) + step(jmax + 1)) // shift
+        heap.push(score + zn * zn, set | (1L << (jmax + 1)), code + step(jmax + 1)) // expand
       }
     }
-    new Probes(home, zx, Arrays.copyOf(masks, probes))
-  }
-
-  /** The probing sequence of `probes`, decoded: mB coordinates per probe,
-    * in probing order, in one flat array. */
-  def probeSequence(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Array[Int] = {
-    val ps = probes(lsh, q, maxProbes)
-    val mB = lsh.family.m
-    val out = new Array[Int](ps.size * mB)
-    var p = 0
-    while (p < ps.size) { ps.decode(p, out, p * mB); p += 1 }
-    out
+    new Probes(home, Arrays.copyOf(codes, probes))
   }
 
   /** Whether the set's entries, z(j) = x(zx(j)), touch distinct dimensions. */
@@ -375,45 +357,49 @@ object MultiProbe {
     true
   }
 
-  /** A binary min-heap of (score, perturbation set) in parallel arrays. */
+  /** A binary min-heap of (score, perturbation set, code) in parallel arrays. */
   private final class ProbeHeap {
     private var scores = new Array[Double](64)
     private var sets = new Array[Long](64)
+    private var codes = new Array[Int](64)
     var size = 0
 
     def topScore: Double = scores(0)
     def topSet: Long = sets(0)
+    def topCode: Int = codes(0)
 
-    def push(score: Double, set: Long): Unit = {
+    def push(score: Double, set: Long, code: Int): Unit = {
       if (size == scores.length) {
         scores = Arrays.copyOf(scores, 2 * size)
         sets = Arrays.copyOf(sets, 2 * size)
+        codes = Arrays.copyOf(codes, 2 * size)
       }
       var i = size
       size += 1
       while (i > 0 && scores((i - 1) >>> 1) > score) {
         val parent = (i - 1) >>> 1
-        scores(i) = scores(parent); sets(i) = sets(parent)
+        scores(i) = scores(parent); sets(i) = sets(parent); codes(i) = codes(parent)
         i = parent
       }
-      scores(i) = score; sets(i) = set
+      scores(i) = score; sets(i) = set; codes(i) = code
     }
 
     def pop(): Unit = {
       size -= 1
       val score = scores(size)
       val set = sets(size)
+      val code = codes(size)
       var i = 0
       var done = false
       while (!done) {
         var child = 2 * i + 1
         if (child + 1 < size && scores(child + 1) < scores(child)) child += 1
         if (child < size && scores(child) < score) {
-          scores(i) = scores(child); sets(i) = sets(child)
+          scores(i) = scores(child); sets(i) = sets(child); codes(i) = codes(child)
           i = child
         } else done = true
       }
-      scores(i) = score; sets(i) = set
+      scores(i) = score; sets(i) = set; codes(i) = code
     }
   }
 }

@@ -55,9 +55,6 @@ final class BucketedLsh(val family: ProjectionFamily, val w: Double, bSeed: Long
     while (i < p.length) { p(i) = (p(i) + b(i)) / w; i += 1 }
     p
   }
-
-  /** Bucket key G(o). */
-  def buckets(v: Array[Double]): Array[Int] = coords(v).map(x => math.floor(x).toInt)
 }
 
 object GaussianLsh {

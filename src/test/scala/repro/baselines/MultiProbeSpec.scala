@@ -31,45 +31,41 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     assert(mp.index.count() == 4)
   }
 
-  /** A flat probing sequence as one coordinate row per probe. */
-  private def rows(flat: Array[Int], mB: Int): Seq[Seq[Int]] = {
-    assert(flat.length % mB == 0)
-    flat.grouped(mB).map(_.toSeq).toSeq
-  }
+  /** The bucket key G(v) of `lsh`: its coordinates of v, floored. */
+  private def buckets(lsh: BucketedLsh, v: Array[Double]): Seq[Long] =
+    lsh.coords(v).map(x => math.floor(x).toInt.toLong).toSeq
 
-  /** The members of `table`'s bucket with fingerprint `fp` and coordinates `b`. */
-  private def members(table: BucketTable, fp: Long, b: Array[Int]): Seq[Int] = {
-    val i = table.find(fp, b, 0)
-    if (i < 0) Seq.empty else table.members.slice(table.offsets(i), table.offsets(i + 1)).toSeq
-  }
+  private def probesOf(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Probes =
+    MultiProbe.probes(lsh.coords(q), lsh.w, maxProbes)
 
-  /** The bucket of `table` with `b`'s fingerprint and coordinates, by a
-    * scan over every bucket, or −1. */
-  private def linearFind(table: BucketTable, b: Seq[Int]): Int = {
-    val fp = BucketTable.fingerprint(b.toArray, 0, table.mB)
-    table.keys.indices.find(i => table.keys(i) == fp &&
-      table.coords.slice(i * table.mB, (i + 1) * table.mB).toSeq == b).getOrElse(-1)
-  }
+  /** The probes' coordinates, one row per probe in probing order: home
+    * plus each digit of the probe's code, less 1. */
+  private def decoded(ps: Probes): Seq[Seq[Long]] =
+    (0 until ps.size).map(p => ps.home.indices.map(i => ps.home(i).toLong + ps.code(p) / MultiProbe.pow3(i) % 3 - 1))
+
+  /** The probing sequence of `lsh` for `q`, decoded. */
+  private def probeSequence(lsh: BucketedLsh, q: Array[Double], maxProbes: Int): Seq[Seq[Long]] =
+    decoded(probesOf(lsh, q, maxProbes))
 
   test("probe sequence starts at the home bucket and has unique keys") {
     val q = queries.head
     for (t <- 0 until mp.numTables) {
-      val seq = rows(MultiProbe.probeSequence(mp.lshs(t), q, 100), mp.numDims)
+      val seq = probeSequence(mp.lshs(t), q, 100)
       assert(seq.nonEmpty && seq.length <= 100)
-      assert(seq.head == mp.lshs(t).buckets(q).toSeq)
+      assert(seq.head == buckets(mp.lshs(t), q))
       assert(seq.distinct.length == seq.length, "probe keys must be unique")
     }
   }
 
   test("probe sequence respects maxProbes = 1") {
-    val seq = rows(MultiProbe.probeSequence(mp.lshs(0), queries.head, 1), mp.numDims)
+    val seq = probeSequence(mp.lshs(0), queries.head, 1)
     assert(seq.length == 1)
   }
 
   test("probed buckets differ from the home bucket by single-step perturbations") {
     val lsh = mp.lshs(0)
-    val home = lsh.buckets(queries.head)
-    val seq = rows(MultiProbe.probeSequence(lsh, queries.head, 50), mp.numDims)
+    val home = buckets(lsh, queries.head)
+    val seq = probeSequence(lsh, queries.head, 50)
     seq.drop(1).foreach { b =>
       val deltas = b.zip(home).map { case (x, h) => x - h }
       assert(deltas.forall(d => d >= -1 && d <= 1), s"key $b")
@@ -82,10 +78,10 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
       val coords = lsh.coords(q)
       val home = coords.map(x => math.floor(x).toInt)
       // Σ x_i(δ)² over the perturbed dimensions, x_i the distance to the crossed boundary
-      val scores = rows(MultiProbe.probeSequence(lsh, q, 1500), mp.numDims).map { b =>
+      val scores = probeSequence(lsh, q, 1500).map { b =>
         b.indices.map { i =>
           val frac = (coords(i) - home(i)) * lsh.w
-          val x = b(i) - home(i) match { case -1 => frac; case 1 => lsh.w - frac; case _ => 0.0 }
+          val x = b(i) - home(i) match { case -1L => frac; case 1L => lsh.w - frac; case _ => 0.0 }
           x * x
         }.sum
       }
@@ -96,55 +92,44 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
 
   test("at probesPerTable = 1500 the probes are those of the List/PriorityQueue generator") {
     for (q <- HighDim.queryVecs(cfg, 28).drop(8); lsh <- mp.lshs) {
-      val seq = rows(MultiProbe.probeSequence(lsh, q, 1500), mp.numDims)
-      val ref = MultiProbeSpec.referenceProbes(lsh, q, 1500)
+      val seq = probeSequence(lsh, q, 1500)
+      val ref = MultiProbeSpec.referenceProbes(lsh, q, 1500).map(_.map(_.toLong))
       assert(seq.length == ref.length)
       assert(seq.head == ref.head)
       assert(seq.toSet == ref.toSet)
     }
   }
 
-  test("masks shipped to a task decode to probeSequence's coordinates (20 queries x 4 tables x 1500 probes)") {
-    val buf = new Array[Int](mp.numDims)
+  test("probe codes survive shipping and decode to the reference generator's probes") {
+    val all = MultiProbe.pow3(mp.numDims)
     for (q <- HighDim.queryVecs(cfg, 28).drop(8); lsh <- mp.lshs) {
-      val shipped = MultiProbeSpec.roundTrip(MultiProbe.probes(lsh, q, 1500))
-      val seq = MultiProbe.probeSequence(lsh, q, 1500)
-      assert(shipped.size == 1500 && seq.length == 1500 * mp.numDims)
-      assert(shipped.masks(0) == 0L && shipped.masks.distinct.length == shipped.size)
-      assert(shipped.home.toSeq == lsh.buckets(q).toSeq)
-      // zx lists the boundary entries by ascending distance: entry 2i is
-      // δ = −1 on dimension i at distance frac, entry 2i + 1 is δ = +1 at w − frac
-      val coords = lsh.coords(q)
-      val x = (0 until mp.numDims).flatMap { i =>
-        val frac = (coords(i) - math.floor(coords(i))) * lsh.w
-        Seq(frac, lsh.w - frac)
-      }
-      assert(shipped.zx.sorted.toSeq == x.indices)
-      shipped.zx.map(x).sliding(2).foreach { case Array(a, b) => assert(a <= b) }
-      for (p <- 0 until shipped.size) {
-        java.util.Arrays.fill(buf, Int.MinValue)
-        shipped.decode(p, buf, 0)
-        assert(buf.toSeq == seq.slice(p * mp.numDims, (p + 1) * mp.numDims).toSeq, s"probe $p")
-        // each set bit j moves dimension zx(j)/2 one bucket down (even entry) or up (odd)
-        val expected = shipped.home.clone()
-        for (j <- 0 until 64 if (shipped.masks(p) >>> j & 1L) == 1L) {
-          val e = shipped.zx(j)
-          expected(e / 2) += (if (e % 2 == 0) -1 else 1)
-        }
-        assert(buf.toSeq == expected.toSeq, s"probe $p")
-      }
+      val shipped = MultiProbeSpec.roundTrip(probesOf(lsh, q, 1500))
+      assert(shipped.size == 1500 && shipped.home.toSeq.map(_.toLong) == buckets(lsh, q))
+      assert(shipped.code(0) == (all - 1) / 2, "home first: every digit 1")
+      assert((0 until shipped.size).forall(p => shipped.code(p) < all))
+      assert(shipped.codes.distinct.length == shipped.size)
+      val ref = MultiProbeSpec.referenceProbes(lsh, q, 1500).map(_.map(_.toLong))
+      val rows = decoded(shipped)
+      assert(rows.head == ref.head && rows.toSet == ref.toSet)
     }
+    // at mB = 10 the codes run past a signed Short: the 1 024 cheapest
+    // probes of a query just under every upper boundary move up in every
+    // subset of the dimensions, the last in all ten, code 3^10 − 1
+    val up = MultiProbeSpec.roundTrip(MultiProbe.probes(Array.fill(10)(0.99), 1.0, 1024))
+    assert(decoded(up).toSet == (0 until 1024).map(m => Seq.tabulate(10)(i => (m >> i & 1).toLong)).toSet)
+    assert(up.code(1023) == MultiProbe.pow3(10) - 1)
+    val e = intercept[IllegalArgumentException](MultiProbe.probes(Array.fill(11)(0.5), 1.0, 5))
+    assert(e.getMessage.contains("got 11"), e)
   }
 
   test("a batch of probe sequences generated in parallel equals one generated query by query") {
     val qs = HighDim.queryVecs(cfg, 40)
-    val batch = mp.probeBatch(qs)
-    val serial = qs.flatMap(q => mp.lshs.map(MultiProbe.probes(_, q, mp.probesPerTable)))
+    val batch = mp.probeBatch(qs.map(q => mp.lshs.map(_.coords(q))))
+    val serial = qs.flatMap(q => mp.lshs.map(probesOf(_, q, mp.probesPerTable)))
     assert(batch.length == qs.length * mp.numTables)
     batch.zip(serial).foreach { case (a, b) =>
       assert(a.home.toSeq == b.home.toSeq)
-      assert(a.zx.toSeq == b.zx.toSeq)
-      assert(a.masks.toSeq == b.masks.toSeq)
+      assert(a.codes.toSeq == b.codes.toSeq)
     }
   }
 
@@ -152,53 +137,65 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     val d = 4
     val gen = for {
       n <- Gen.choose(1, 60)
+      mB <- Gen.oneOf(1, 3)
       pts <- Gen.listOfN(n, Gen.listOfN(d, Gen.choose(-3.0, 3.0)))
-      qs <- Gen.listOfN(3, Gen.listOfN(d, Gen.choose(-4.0, 4.0)))
+      near <- Gen.listOfN(3, Gen.listOfN(d, Gen.choose(-4.0, 4.0)))
+      // far from every bucket: projections of order 1e12, past the Int range
+      far <- Gen.listOfN(d, Gen.choose(-1.0, 1.0)).map(_.map(_ * 1e12))
       seed <- Gen.choose(0L, 1000L)
       w <- Gen.choose(0.5, 3.0)
-    } yield (pts.map(_.toArray).toArray, qs.map(_.toArray), seed, w)
-    val prop = Prop.forAll(gen) { case (vecs, qs, seed, w) =>
-      val lshs = Array.tabulate(2)(t => new BucketedLsh(new ProjectionFamily(d, 3, seed + t), w, seed + 10 + t))
+    } yield (pts.map(_.toArray).toArray, mB, near.map(_.toArray) :+ far.toArray, seed, w)
+    val prop = Prop.forAll(gen) { case (vecs, mB, qs, seed, w) =>
+      val lshs = Array.tabulate(2)(t => new BucketedLsh(new ProjectionFamily(d, mB, seed + t), w, seed + 10 + t))
       val part = MultiProbePart.of(vecs.zipWithIndex.map { case (v, j) => Point(j.toLong, v) }, lshs)
-      val refs: Array[Map[List[Int], Seq[Int]]] =
-        lshs.map(lsh => vecs.indices.groupBy(j => lsh.buckets(vecs(j)).toList))
-      def lookup(t: Int, b: Seq[Int]): Seq[Int] =
-        members(part.tables(t), BucketTable.fingerprint(b.toArray, 0, 3), b.toArray)
-      val mark = new Array[Int](part.size)
-      val found = new Array[Int](part.size)
+      val refs: Array[Map[Seq[Long], Seq[Int]]] = lshs.map(lsh => vecs.indices.groupBy(j => buckets(lsh, vecs(j))))
+      val buf = new MultiProbePart.Buffers(part)
       qs.zipWithIndex.forall { case (q, qi) =>
-        val probes = lshs.map(MultiProbe.probes(_, q, 30))
-        val probed = lshs.map(lsh => rows(MultiProbe.probeSequence(lsh, q, 30), 3))
-        val tablesAgree = probed.indices.forall { t =>
-          (probed(t) ++ refs(t).keys.map(_.toSeq)).forall { b =>
-            val table = part.tables(t)
-            table.find(BucketTable.fingerprint(b.toArray, 0, 3), b.toArray, 0) == linearFind(table, b) &&
-              lookup(t, b) == refs(t).getOrElse(b.toList, Seq.empty)
-          }
-        }
-        val absent = lookup(0, Seq.fill(3)(Int.MinValue)).isEmpty
-        val expected = probed.indices.flatMap(t => probed(t).flatMap(b => refs(t).getOrElse(b.toList, Seq.empty))).distinct
-        val size = part.candidates(probes, mark, qi + 1, found)
-        tablesAgree && absent && found.take(size).toSeq == expected
+        val probes = lshs.map(probesOf(_, q, 30))
+        val expected = probes.indices.flatMap(t => decoded(probes(t)).flatMap(b => refs(t).getOrElse(b, Seq.empty))).distinct
+        val size = part.candidates(probes, buf)
+        buf.found.take(size).toSeq == expected && (qi < 3 || size == 0)
       }
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status)
   }
 
-  test("two buckets sharing one fingerprint each return only their own members") {
-    // slots 0..4 in three buckets, every one with fingerprint 7
-    val built = BucketTable.build(Array(1, 2, 3, 4, 1, 2, 5, 6, 3, 4), Array.fill(5)(7L), 2)
-    assert(built.keys.toSeq == Seq(7L, 7L, 7L))
-    assert(members(built, 7L, Array(1, 2)) == Seq(0, 2))
-    assert(members(built, 7L, Array(3, 4)) == Seq(1, 4))
-    assert(members(built, 7L, Array(5, 6)) == Seq(3))
-    assert(members(built, 7L, Array(9, 9)).isEmpty)
-    assert(members(built, 8L, Array(1, 2)).isEmpty)
-    val direct = new BucketTable(2, Array(7L, 7L), Array(1, 2, 3, 4), Array(0, 2, 3), Array(0, 5, 3))
-    assert(members(direct, 7L, Array(1, 2)) == Seq(0, 5))
-    assert(members(direct, 7L, Array(3, 4)) == Seq(3))
-    assert(members(direct, 7L, Array(2, 1)).isEmpty)
+  test("equal coordinate vectors form one bucket, members ascending; distinct vectors never share one") {
+    // slots 0..6 in five buckets, listed in lexicographic order of their coordinates
+    val built = BucketTable.build(Array(3, 4, 1, 2, 1, 2, Int.MaxValue, 0, 3, 4, 1, 3, Int.MinValue, 0), 7, 2)
+    assert(built.buckets == 5)
+    assert(built.coords.toSeq == Seq(Int.MinValue, 0, 1, 2, 1, 3, 3, 4, Int.MaxValue, 0))
+    assert(built.offsets.toSeq == Seq(0, 1, 3, 4, 6, 7))
+    assert(built.members.toSeq == Seq(6, 1, 2, 5, 0, 4, 3))
+    assert((0 to 4).map(c => built.firstFrom(c.toLong)) == Seq(1, 1, 3, 3, 4))
+    assert(built.firstFrom(Int.MinValue - 1L) == 0 && built.firstFrom(Int.MaxValue + 1L) == 5)
+  }
+
+  test("a probe next to a bucket at the Int range's edge does not wrap to the other edge") {
+    val lsh = new BucketedLsh(new ProjectionFamily(1, 1, 5), 1.0, 6)
+    val vecs = Array(Array(1e15), Array(-1e15))
+    val part = MultiProbePart.of(vecs.zipWithIndex.map { case (v, j) => Point(j.toLong, v) }, Array(lsh))
+    assert(part.tables(0).coords.toSet == Set(Int.MinValue, Int.MaxValue))
+    val probes = probesOf(lsh, vecs(0), 3)
+    val home = probes.home(0).toLong
+    assert(decoded(probes).map(_.head).toSet == Set(home - 1, home, home + 1))
+    val buf = new MultiProbePart.Buffers(part)
+    val size = part.candidates(Array(probes), buf)
+    assert(buf.found.take(size).toSeq == Seq(0))
+  }
+
+  test("every partition's candidate lists for 28 queries match the pinned digest") {
+    val qs = HighDim.queryVecs(cfg, 28)
+    val probes = mp.probeBatch(qs.map(q => mp.lshs.map(_.coords(q)))).grouped(mp.numTables).toArray
+    val words = mp.index.collect().iterator.flatMap { part =>
+      val buf = new MultiProbePart.Buffers(part)
+      probes.iterator.flatMap { ps =>
+        val size = part.candidates(ps, buf)
+        Array(part.size.toLong, size.toLong) ++ buf.found.take(size).map(_.toLong)
+      }
+    }
+    assert(Digest.of(words) == "3194218ff9c6459fbbb51e84")
   }
 
   test("longer probe sequences reach more candidates") {

@@ -133,6 +133,49 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("a query on a bucket boundary probes its home bucket first, then the bucket across that boundary") {
+    // dimension 0 lies exactly on its lower boundary: the step down scores 0, as home does
+    val ps = MultiProbe.probes(Array(3.0, 0.25, 0.6), 2.0, 5)
+    assert(ps.home.toSeq == Seq(3, 0, 0))
+    assert(decoded(ps).take(2) == Seq(Seq(3L, 0L, 0L), Seq(2L, 0L, 0L)))
+  }
+
+  test("with maxProbes at 3^mB or more every code comes once, home first, scores non-decreasing") {
+    val rnd = new scala.util.Random(7)
+    for (mB <- Seq(1, 8, 10); extra <- Seq(0, 1)) {
+      val all = MultiProbe.pow3(mB)
+      val coords = Array.fill(mB)(20 * rnd.nextDouble() - 10)
+      val w = 0.5 + rnd.nextDouble()
+      val ps = MultiProbe.probes(coords, w, all + extra)
+      assert(ps.size == all)
+      assert(ps.code(0) == (all - 1) / 2)
+      assert((0 until ps.size).map(ps.code).sorted == (0 until all))
+      val scores = (0 until ps.size).map { p =>
+        (0 until mB).map { i =>
+          val frac = (coords(i) - ps.home(i)) * w
+          val x = ps.code(p) / MultiProbe.pow3(i) % 3 match { case 0 => frac; case 2 => w - frac; case _ => 0.0 }
+          x * x
+        }.sum
+      }
+      scores.sliding(2).foreach { case Seq(a, b) => assert(b >= a - 1e-9 * math.max(1.0, a), s"mB=$mB: $a then $b") }
+    }
+  }
+
+  test("probes are the reference generator's probes in its order (scalacheck)") {
+    val gen = for {
+      mB <- Gen.choose(1, 8)
+      coords <- Gen.listOfN(mB, Gen.choose(-100.0, 100.0))
+      w <- Gen.choose(0.5, 3.0)
+      maxProbes <- Gen.choose(1, MultiProbe.pow3(mB) + 1)
+    } yield (coords.toArray, w, maxProbes)
+    val prop = Prop.forAll(gen) { case (coords, w, maxProbes) =>
+      decoded(MultiProbe.probes(coords, w, maxProbes)) ==
+        MultiProbeSpec.referenceProbes(coords, w, maxProbes).map(_.map(_.toLong))
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(res.passed, res.status)
+  }
+
   test("flat tables return the members of a boxed bucket map for every probed bucket (scalacheck)") {
     val d = 4
     val gen = for {
@@ -196,6 +239,25 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
       }
     }
     assert(Digest.of(words) == "3194218ff9c6459fbbb51e84")
+  }
+
+  test("the probing sequences of 28 queries at 1 500 probes and of 300 random inputs match the pinned digest") {
+    val full = new MultiProbe(spark, points, partitions = 4, seed = 3)
+    val batch = full.probeBatch(HighDim.queryVecs(cfg, 28).map(q => full.lshs.map(_.coords(q))))
+    full.unpersist()
+    val rnd = new scala.util.Random(611)
+    // mB 1 to 10 under each of five caps, six vectors each
+    val inputs = (0 until 300).map { j =>
+      val mB = 1 + j % 10
+      val maxProbes = Seq(1, 2, 30, 1500, MultiProbe.pow3(mB) + 1)(j / 10 % 5)
+      val w = 0.5 + 3 * rnd.nextDouble()
+      MultiProbe.probes(Array.fill(mB)(200 * rnd.nextDouble() - 100), w, maxProbes)
+    }
+    val words = (batch ++ inputs).iterator.flatMap { ps =>
+      Iterator(ps.home.length.toLong, ps.size.toLong) ++ ps.home.iterator.map(_.toLong) ++
+        (0 until ps.size).iterator.map(ps.code(_).toLong)
+    }
+    assert(Digest.of(words) == "9cccbb2d61c0ed4d026cd863")
   }
 
   test("longer probe sequences reach more candidates") {
@@ -324,11 +386,14 @@ object MultiProbeSpec {
   /** The probing sequence as generated before the primitive heap: a
     * List/PriorityQueue perturbation-set heap (Lv et al. 2007), one
     * coordinate row per probe. */
-  def referenceProbes(tableLsh: BucketedLsh, q: Array[Double], maxProbes: Int): Seq[Seq[Int]] = {
-    val mB = tableLsh.family.m
-    val coords = tableLsh.coords(q)
+  def referenceProbes(tableLsh: BucketedLsh, q: Array[Double], maxProbes: Int): Seq[Seq[Int]] =
+    referenceProbes(tableLsh.coords(q), tableLsh.w, maxProbes)
+
+  /** The same generator for a query at `coords`, in units of the bucket
+    * width `wQ`. */
+  def referenceProbes(coords: Array[Double], wQ: Double, maxProbes: Int): Seq[Seq[Int]] = {
+    val mB = coords.length
     val base = coords.map(x => math.floor(x).toInt)
-    val wQ = tableLsh.w
     val z: Array[(Double, Int, Int)] = (0 until mB).flatMap { i =>
       val frac = (coords(i) - base(i)) * wQ
       Seq((frac, i, -1), (wQ - frac, i, +1))

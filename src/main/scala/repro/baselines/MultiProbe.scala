@@ -1,6 +1,5 @@
 package repro.baselines
 
-import java.lang.{Long => JLong}
 import java.util.Arrays
 import java.util.stream.IntStream
 import org.apache.spark.rdd.RDD
@@ -174,10 +173,10 @@ object MultiProbePart {
   *
   * L hash tables, each a compound of mB bucketed hashes h_i(o) =
   * ⌊(a_i·o + b_i)/w⌋. For a query, the classic query-directed probing
-  * sequence (min-heap over perturbation sets with shift/expand, scored by
-  * Σ x_i(δ)², x_i(δ) the distance from the query to the bucket boundary)
-  * yields the probes-per-table most likely to hold near neighbors; probed
-  * buckets' members are verified in the original space.
+  * sequence (the perturbations with the lowest score Σ x_i(δ)², x_i(δ) the
+  * distance from the query to the bucket boundary) yields the
+  * probes-per-table most likely to hold near neighbors; probed buckets'
+  * members are verified in the original space.
   *
   * w is data-driven (a multiple of the per-dimension interquartile range of
   * projected coordinates) since bucket widths must match the data scale.
@@ -188,6 +187,7 @@ final class MultiProbe(
     val probesPerTable: Int = 1500,
     val partitions: Int = 8,
     val seed: Long = 42) {
+  require(probesPerTable >= 1, s"probesPerTable must be at least 1, got $probesPerTable")
 
   val numTables: Int = 4
   val numDims: Int = 8
@@ -238,11 +238,8 @@ final class MultiProbe(
   val n: Long = index.map(_.size.toLong).reduce(_ + _)
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    TopK.requireK(k)
-    Vec.requireFinite(queries)
     // each query's coordinates in every table, in units of w
-    val coords = queries.map(q => lshs.map(_.coords(q)))
-    Vec.requireFinite(coords.map(_.flatten), "projection")
+    val coords = TopK.projectBatch(queries, k)(q => lshs.flatMap(_.coords(q))).map(_.grouped(numDims).toArray)
     // (query, its probes per table), computed on the driver
     TopK.gather(index, queries.zip(probeBatch(coords).grouped(numTables))) { part =>
       val buf = new MultiProbePart.Buffers(part)
@@ -285,121 +282,50 @@ object MultiProbe {
 
   /** Query-directed probing sequence for one table (Lv et al. 2007) of a
     * query at `coords`, its mB coordinates in units of the bucket width w:
-    * up to `maxProbes` buckets, the home bucket first, then in ascending
-    * score.
+    * the `maxProbes` cheapest perturbations δ ∈ {−1, 0, 1}^mB, or all 3^mB,
+    * the home bucket first, then in ascending score Σ x_i(δ_i)², x_i(δ_i)
+    * the distance from the query to the boundary crossed in dimension i.
     *
-    * The 2·mB boundary distances x_i(δ) are sorted ascending into z; a
-    * perturbation set is a bitmask over z, scored by the sum of its squared
-    * entries. From the start set {0} the min-heap grows sets by shift
-    * (replace the largest index j by j + 1) and expand (add j + 1); a set
-    * that perturbs one dimension twice is skipped. Beside each set the heap
-    * keeps its probe's code: entry j moves the code by `step(j)`, so shift
-    * and expand update it with the steps they swap in and out.
+    * mB ≤ 10, so every code's score fits one array: one pass over the
+    * dimensions gives code c + d·3^i (c < 3^i) the score of c plus frac_i²
+    * for d = 0, nothing for d = 1 and (w − frac_i)² for d = 2. Home scores
+    * below every other, so it stays first when a boundary distance is 0.
+    * The cheapest are kept as `Hits.keepWithin` keeps them and ordered by
+    * score, equal scores in code order.
     */
   def probes(coords: Array[Double], w: Double, maxProbes: Int): Probes = {
     val mB = coords.length
     require(mB >= 1 && mB <= 10, s"a 16-bit probe code holds 1 to 10 dimensions, got $mB")
+    require(maxProbes >= 1, s"maxProbes must be at least 1, got $maxProbes")
     val home = new Array[Int](mB)
-    // boundary distances in projected units: entry 2i is δ = −1 on
-    // dimension i, entry 2i + 1 is δ = +1
-    val x = new Array[Double](2 * mB)
+    val all = pow3(mB)
+    val scores = new Array[Double](all)
+    var unit = 1
     var i = 0
     while (i < mB) {
       home(i) = math.floor(coords(i)).toInt
       val frac = (coords(i) - home(i)) * w
-      x(2 * i) = frac
-      x(2 * i + 1) = w - frac
+      val down = frac * frac
+      val up = (w - frac) * (w - frac)
+      var c = 0
+      while (c < unit) {
+        val s = scores(c)
+        scores(c) = s + down
+        scores(c + unit) = s
+        scores(c + 2 * unit) = s + up
+        c += 1
+      }
+      unit *= 3
       i += 1
     }
-    // z(j) = x(zx(j)), ascending, equal distances in entry order
-    val zx = StableOrder.of(x)
-    val z = zx.map(x)
-    // what perturbing z(j) adds to a code: ∓3^i for entry 2i or 2i + 1
-    val step = zx.map(e => (if (e % 2 == 0) -1 else 1) * pow3(e / 2))
-
-    var codes = new Array[Short](64)
-    codes(0) = ((pow3(mB) - 1) / 2).toShort // every δ_i = 0
-    var probes = 1
-    val heap = new ProbeHeap
-    heap.push(z(0) * z(0), 1L, codes(0) + step(0))
-    while (probes < maxProbes && heap.size > 0) {
-      val score = heap.topScore
-      val set = heap.topSet
-      val code = heap.topCode
-      heap.pop()
-      if (perturbsEachDimOnce(set, zx)) {
-        if (probes == codes.length) codes = Arrays.copyOf(codes, 2 * probes)
-        codes(probes) = code.toShort
-        probes += 1
-      }
-      val jmax = 63 - JLong.numberOfLeadingZeros(set)
-      if (jmax + 1 < z.length) {
-        val zn = z(jmax + 1)
-        val zo = z(jmax)
-        heap.push(score - zo * zo + zn * zn, set ^ (1L << jmax) | (1L << (jmax + 1)),
-          code - step(jmax) + step(jmax + 1)) // shift
-        heap.push(score + zn * zn, set | (1L << (jmax + 1)), code + step(jmax + 1)) // expand
-      }
-    }
-    new Probes(home, Arrays.copyOf(codes, probes))
-  }
-
-  /** Whether the set's entries, z(j) = x(zx(j)), touch distinct dimensions. */
-  private def perturbsEachDimOnce(set: Long, zx: Array[Int]): Boolean = {
-    var dims = 0L
-    var rest = set
-    while (rest != 0) {
-      val dim = 1L << (zx(JLong.numberOfTrailingZeros(rest)) / 2)
-      if ((dims & dim) != 0) return false
-      dims |= dim
-      rest &= rest - 1
-    }
-    true
-  }
-
-  /** A binary min-heap of (score, perturbation set, code) in parallel arrays. */
-  private final class ProbeHeap {
-    private var scores = new Array[Double](64)
-    private var sets = new Array[Long](64)
-    private var codes = new Array[Int](64)
-    var size = 0
-
-    def topScore: Double = scores(0)
-    def topSet: Long = sets(0)
-    def topCode: Int = codes(0)
-
-    def push(score: Double, set: Long, code: Int): Unit = {
-      if (size == scores.length) {
-        scores = Arrays.copyOf(scores, 2 * size)
-        sets = Arrays.copyOf(sets, 2 * size)
-        codes = Arrays.copyOf(codes, 2 * size)
-      }
-      var i = size
-      size += 1
-      while (i > 0 && scores((i - 1) >>> 1) > score) {
-        val parent = (i - 1) >>> 1
-        scores(i) = scores(parent); sets(i) = sets(parent); codes(i) = codes(parent)
-        i = parent
-      }
-      scores(i) = score; sets(i) = set; codes(i) = code
-    }
-
-    def pop(): Unit = {
-      size -= 1
-      val score = scores(size)
-      val set = sets(size)
-      val code = codes(size)
-      var i = 0
-      var done = false
-      while (!done) {
-        var child = 2 * i + 1
-        if (child + 1 < size && scores(child + 1) < scores(child)) child += 1
-        if (child < size && scores(child) < score) {
-          scores(i) = scores(child); sets(i) = sets(child); codes(i) = codes(child)
-          i = child
-        } else done = true
-      }
-      scores(i) = score; sets(i) = set; codes(i) = code
-    }
+    scores((all - 1) / 2) = -1.0 // every δ_i = 0
+    val hits = new Hits
+    hits.slots = Array.range(0, all)
+    hits.dists = scores
+    hits.size = all
+    hits.keepWithin(maxProbes)
+    val kept = Arrays.copyOf(hits.dists, hits.size)
+    val codes = StableOrder.of(kept).map(p => hits.slots(p).toShort)
+    new Probes(home, codes)
   }
 }

@@ -28,10 +28,7 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
   val pTau: Double = 0.8107
 
   def knn(queries: Array[Array[Double]], k: Int): Array[QueryResult] = {
-    TopK.requireK(k)
-    Vec.requireFinite(queries)
-    val batch = queries.map(q => (q, engine.family.project(q)))
-    Vec.requireFinite(batch.map(_._2), "projection")
+    val batch = queries.zip(TopK.projectBatch(queries, k)(engine.family.project))
     val frac = tFrac
     // one row per partition and query: the partition's access sequence as
     // parallel arrays of ids, projected distances and verified distances

@@ -150,9 +150,7 @@ final class RangeLsh(
     * the ball-cover conditions fire, otherwise None.
     */
   def ballCover(q: Array[Double], r: Double): Option[Neighbor] = {
-    Vec.requireFinite(Array(q))
-    val qp = family.project(q)
-    Vec.requireFinite(Array(qp), "projection")
+    val qp = TopK.projectBatch(Array(q), 1)(family.project).head
     val cap = partCap(1)
     // each partition ships its candidate count and its closest candidate
     val rows = TopK.gather(indexes, Array((q, qp, t * r, params.c * r))) { part =>

@@ -91,12 +91,14 @@ object Slots {
   }
 }
 
-/** One range search's result: slots with their projected distances, in
-  * traversal order, plus the search's distance computations and node
-  * visits. Every search fills its own, so queries running at the same time
-  * share nothing mutable through an index.
+/** Slots with their distances, in the order they were added, and the cap
+  * that keeps the nearest of them. A range search fills one with its
+  * result in traversal order, plus its distance computations and node
+  * visits; every search fills its own, so queries running at the same time
+  * share nothing mutable through an index. Multi-Probe keeps its cheapest
+  * probes with one, codes as slots and scores as distances.
   */
-private[core] final class Hits {
+private[repro] final class Hits {
   var slots = new Array[Int](64)
   var dists = new Array[Double](64)
   var size = 0
@@ -113,12 +115,13 @@ private[core] final class Hits {
     size += 1
   }
 
-  /** Keeps the `cap` nearest by projected distance, equal distances in
-    * traversal order, in traversal order: a quickselect on a copy of the
-    * distances finds v, the cap-th smallest, and one pass keeps every hit
-    * below v plus the first ties at v, the set a stable sort's first `cap`
-    * would hold. Distances are never NaN (each passed `≤ r`), so the
-    * primitive comparisons order them as `java.lang.Double.compare` does. */
+  /** Keeps the `cap` nearest, equal distances in the order added, in the
+    * order added: a quickselect on a copy of the distances finds v, the
+    * cap-th smallest, and one pass keeps every hit below v plus the first
+    * ties at v, the set a stable sort's first `cap` would hold. Distances
+    * are never NaN (a range search's each passed `≤ r`, a probe score is a
+    * sum of squares), so the primitive comparisons order them as
+    * `java.lang.Double.compare` does. */
   def keepWithin(cap: Int): Unit = if (size > cap) {
     val v = Hits.select(Arrays.copyOf(dists, size), size, cap - 1)
     var below = 0
@@ -139,7 +142,7 @@ private[core] final class Hits {
   }
 }
 
-private[core] object Hits {
+private[repro] object Hits {
 
   /** The j-th smallest (from 0) of the first n values of `a`, which it
     * reorders: Hoare's selection, pivoting on the median of three. */

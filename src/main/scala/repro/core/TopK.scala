@@ -77,9 +77,9 @@ object TopK {
   /** Algorithm 2's radius loop (§4.4), batched, `levels` radii per job:
     * every job is one `gather` of the still-active queries, each at its
     * own ladder r, c·r, …, c^(levels−1)·r, starting at r0. `project` maps a
-    * query to the space the index searches, once per query, and a query
-    * whose projection has a NaN or ∞ entry is rejected before any job: it
-    * would fail every radius test, so no r would ever stop it.
+    * query to the space the index searches, once per query, and the batch
+    * is checked (`projectBatch`) before any job: a query with a non-finite
+    * projection would fail every radius test, so no r would ever stop it.
     * `probe(part, q, q', radii, crs)` runs one query's ladder on one
     * partition and returns one `TopK` per radius; each radius's c·r
     * (`crs`) is computed here, on the driver, so every executor compares
@@ -93,10 +93,7 @@ object TopK {
   def radiusRounds[P](parts: RDD[P], queries: Array[Array[Double]], k: Int, n: Long, budget: Long, r0: Double,
                       c: Double, levels: Int)(project: Array[Double] => Array[Double])(
                       probe: (P, Array[Double], Array[Double], Array[Double], Array[Double]) => Array[TopK]): Array[QueryResult] = {
-    requireK(k)
-    Vec.requireFinite(queries)
-    val projected = queries.map(project)
-    Vec.requireFinite(projected, "projection")
+    val projected = projectBatch(queries, k)(project)
     val radii = Array.fill(queries.length)(r0)
     val results = new Array[QueryResult](queries.length)
     var active = queries.indices.toArray
@@ -123,6 +120,18 @@ object TopK {
       jobs += 1
     }
     results
+  }
+
+  /** The checks every kNN batch passes before any job, then its queries'
+    * projections: k is at least 1, every query is finite, and so is every
+    * projection, each failure naming k or the query. A query whose
+    * projection has a NaN or ∞ entry fails every window and radius test. */
+  def projectBatch(queries: Array[Array[Double]], k: Int)(project: Array[Double] => Array[Double]): Array[Array[Double]] = {
+    requireK(k)
+    Vec.requireFinite(queries)
+    val projected = queries.map(project)
+    Vec.requireFinite(projected, "projection")
+    projected
   }
 
   /** Rejects an answer size k < 1: a kNN query asks for at least one

@@ -122,6 +122,18 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
     assert(e.getMessage.contains("got 11"), e)
   }
 
+  test("a probe cap below 1 is rejected, naming it") {
+    val e = intercept[IllegalArgumentException](MultiProbe.probes(Array(0.5, 0.5), 1.0, 0))
+    assert(e.getMessage.contains("maxProbes must be at least 1, got 0"), e)
+  }
+
+  test("building with probesPerTable below 1 fails before any job, naming the value") {
+    for (bad <- Seq(0, -5)) {
+      val e = intercept[IllegalArgumentException](new MultiProbe(spark, points, partitions = 4, seed = 3, probesPerTable = bad))
+      assert(e.getMessage.contains(s"probesPerTable must be at least 1, got $bad"), e)
+    }
+  }
+
   test("a batch of probe sequences generated in parallel equals one generated query by query") {
     val qs = HighDim.queryVecs(cfg, 40)
     val batch = mp.probeBatch(qs.map(q => mp.lshs.map(_.coords(q))))

@@ -5,12 +5,13 @@ import scala.annotation.unused
 
 /** Exact kNN over the full dataset — the R* of Eqs. 11–12 and the engine
   * behind the LScan baseline. One Spark action per query batch, the exact
-  * probe: each partition verifies every one of its points against every
-  * query and ships its top-k (`TopK.of`) through `TopK.gather`, and the
-  * driver merges them (`TopK.merge`). Queries must be finite and of the
-  * data's dimension d, read from its first point (checked on the driver);
-  * every data row must have d finite coordinates, as `Points.indexed`
-  * requires of the engines' rows (checked in every task that holds it).
+  * probe: each partition copies its points once into a `Slots` payload,
+  * verifies every one of them against every query (`Slots.verify`) and
+  * ships its top-k through `TopK.gather`, and the driver merges them
+  * (`TopK.merge`). Queries must be finite and of the data's dimension d,
+  * read from its first point (checked on the driver); every data row must
+  * have d finite coordinates, as `Points.indexed` requires of the engines'
+  * rows (checked in every task that holds it).
   */
 object GroundTruth {
 
@@ -28,9 +29,10 @@ object GroundTruth {
     queries.foreach(q => require(d < 0 || q.length == d, s"a query has ${q.length} coordinates, the data has $d"))
     TopK.gather(points.rdd.glom(), queries) { part =>
       part.foreach(p => Slots.requireRow(p.id, "vector", p.vec, d))
-      val ids = part.map(_.id)
+      val pts = Slots.of(part)
+      val all = Array.range(0, pts.size)
       // no radius: the within-c·r count is unused
-      q => TopK.of(ids, part.map(p => Vec.dist(q, p.vec)), k, Double.NegativeInfinity)
+      q => pts.verify(q, all, all.length, k, Double.NegativeInfinity)
     }.map(TopK.merge(_, k).neighbors)
   }
 }

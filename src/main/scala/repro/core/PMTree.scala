@@ -33,16 +33,15 @@ case class PMNodeSummary(
   * minimum enlargement, split on overflow with max-distance promotion and
   * nearest-center partition. It reads only centers and covering radii, and
   * keeps the radii as upper bounds on the distance to every descendant
-  * point. The tree is built once, by `PMTree.build`, on the projections
-  * alone; its payload is then filled once, in leaf order, and one pass over
-  * the finished tree sets every routing entry's exact covering radius and
-  * hyper-rings.
+  * point. The tree is built once, by `PMTree.build` (`SlotTree.load`), on
+  * the projections alone; once its payload is filled in leaf order, one
+  * pass over the finished tree sets every routing entry's exact covering
+  * radius and hyper-rings.
   *
   * `distCount` counts query-time distance computations in the projected
   * space (the quantity modeled in Table 2).
   */
-final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends Serializable {
-  require(capacity >= 4, s"capacity must be >= 4, got $capacity")
+final class PMTree(val pivots: Array[Array[Double]], capacity: Int) extends SlotTree(capacity) {
   private val s = pivots.length
 
   private final class RoutingEntry(val center: Array[Double], var radius: Double, val child: Node)
@@ -54,61 +53,24 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
   }
 
   private sealed abstract class Node extends Serializable
-  /** A leaf; its entries are slots of `pts`. */
-  private final class Leaf(var slots: Array[Int]) extends Node
+  private final class Leaf(var slots: Array[Int]) extends Node with SlotTree.Leaf
   private final class Inner extends Node {
     val routes = new ArrayBuffer[RoutingEntry]()
   }
 
-  /** The payload; while the tree is built, the projections alone, in input
-    * order. */
-  private var pts: Slots = Slots.of(Array.empty[Point])
   /** Leaf entry o's pivot distances ||p_i, o'|| at o·s + i. */
   private var pivotDists: Array[Double] = Array.emptyDoubleArray
   /** Leaf entry o's distance to the center of the routing entry above it. */
   private var parentDists: Array[Double] = Array.emptyDoubleArray
   private var root: Node = new Leaf(Array.emptyIntArray)
 
-  /** Query-time distance computations of `range` (reset with `resetDistCount`). */
-  var distCount: Long = 0L
-
-  def size: Int = pts.size
-
-  /** The indexed points, in slot order (leaf order). */
-  def points: Slots = pts
-
-  def resetDistCount(): Unit = distCount = 0L
-
-  /** Indexes `points`, projected to `proj` (m per point, as the pivots):
-    * inserts every point in order, on the projections, fills the payload
-    * in leaf order, then computes the leaf entries' pivot distances and
-    * tightens the routing entries. */
-  private def load(points: Array[Point], proj: Array[Double]): Unit = {
-    val m = if (points.isEmpty) 0 else pivots(0).length
-    require(proj.length == points.length * m,
-      s"${points.length} points with pivots of $m coordinates need ${points.length * m} projected coordinates, got ${proj.length}")
-    pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
-    var slot = 0
-    while (slot < points.length) {
-      val pair = insert(root, slot)
-      if (pair != null) {
-        val newRoot = new Inner
-        newRoot.routes += pair._1
-        newRoot.routes += pair._2
-        root = newRoot
-      }
-      slot += 1
+  protected def insert(slot: Int): Unit = {
+    val pair = insert(root, slot)
+    if (pair != null) {
+      val newRoot = new Inner
+      newRoot.routes ++= Seq(pair._1, pair._2)
+      root = newRoot
     }
-    val ls = leaves
-    val order = ls.flatMap(_.slots).toArray
-    pts = Slots.of(points, proj, m, order)
-    var next = 0
-    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
-    pivotDists = new Array[Double](size * s)
-    var o = 0
-    while (o < size * s) { pivotDists(o) = Vec.dist(pivots(o % s), pts.proj, o / s * m); o += 1 }
-    parentDists = new Array[Double](size)
-    tighten()
   }
 
   /** Inserts `slot` below `node`; returns the two routing entries that
@@ -139,11 +101,7 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
         val re = in.routes(best)
         if (bestDist > re.radius) re.radius = bestDist
         val pair = insert(re.child, slot)
-        if (pair != null) {
-          in.routes.remove(best)
-          in.routes += pair._1
-          in.routes += pair._2
-        }
+        if (pair != null) { in.routes.remove(best); in.routes ++= Seq(pair._1, pair._2) }
         in.routes.length > capacity
     }
     if (overflow) split(node) else null
@@ -207,19 +165,9 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     (new RoutingEntry(c1, r1, a), new RoutingEntry(c2, r2, b))
   }
 
-  /** Ball range query in the projected space: all points with
-    * ||q, o'|| ≤ r, with their projected distances, in traversal order.
-    * The points are read through the slots only when an element is read.
-    */
-  def range(qProj: Array[Double], r: Double): IndexedSeq[(IndexedPoint, Double)] = {
-    val hits = new Hits
-    search(qProj, r, hits)
-    distCount += hits.distCount
-    new SlotRange(pts, hits)
-  }
-
-  /** `range` into `out`, counting its distance computations there: s to the
-    * pivots, one per routing entry and leaf entry that no filter prunes. */
+  /** `range` into `out`, counting there the visited nodes and its distance
+    * computations: s to the pivots, one per routing entry and leaf entry
+    * that no filter prunes. */
   private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit = {
     if (size == 0) return
     val proj = pts.proj
@@ -237,6 +185,7 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     var top = 1
     while (top > 0) {
       top -= 1
+      out.nodeAccesses += 1
       val dParent = dParents(top)
       nodes(top) match {
         case in: Inner =>
@@ -286,31 +235,38 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     }
   }
 
-  /** Sets, from the points below each routing entry, its covering radius
-    * to the largest distance from its center (insertion keeps only an upper
-    * bound, parentDist + child radius; the exact radius shrinks the PM-tree
-    * regions, improving both real pruning and the Eq. 7 cost estimate), its
-    * hyper-rings to each pivot's range of distances, and each entry's
-    * parent distance in the node below it, leaf entries' and routing
-    * entries' alike (the root's entries keep 0). */
-  private def tighten(): Unit = eachRoute { (r, below) =>
-    val aboveLeaf = r.child match {
-      case in: Inner => in.routes.foreach(e => e.parentDist = Vec.dist(r.center, e.center)); false
-      case _         => true
-    }
-    r.radius = 0.0
-    r.hrMin = Array.fill(s)(Double.MaxValue)
-    r.hrMax = Array.fill(s)(Double.MinValue)
-    below.foreach { o =>
-      val dd = Vec.dist(r.center, pts.proj, o * pts.m)
-      if (dd > r.radius) r.radius = dd
-      if (aboveLeaf) parentDists(o) = dd
-      var j = 0
-      while (j < s) {
-        val pd = pivotDists(o * s + j)
-        if (pd < r.hrMin(j)) r.hrMin(j) = pd
-        if (pd > r.hrMax(j)) r.hrMax(j) = pd
-        j += 1
+  /** Computes the leaf entries' pivot distances, then sets, from the points
+    * below each routing entry, its covering radius to the largest distance
+    * from its center (insertion keeps only an upper bound, parentDist +
+    * child radius; the exact radius shrinks the PM-tree regions, improving
+    * both real pruning and the Eq. 7 cost estimate), its hyper-rings to each
+    * pivot's range of distances, and each entry's parent distance in the
+    * node below it, leaf entries' and routing entries' alike (the root's
+    * entries keep 0). */
+  private def tighten(): Unit = {
+    pivotDists = new Array[Double](size * s)
+    var i = 0
+    while (i < size * s) { pivotDists(i) = Vec.dist(pivots(i % s), pts.proj, i / s * pts.m); i += 1 }
+    parentDists = new Array[Double](size)
+    eachRoute { (r, below) =>
+      val aboveLeaf = r.child match {
+        case in: Inner => in.routes.foreach(e => e.parentDist = Vec.dist(r.center, e.center)); false
+        case _         => true
+      }
+      r.radius = 0.0
+      r.hrMin = Array.fill(s)(Double.MaxValue)
+      r.hrMax = Array.fill(s)(Double.MinValue)
+      below.foreach { o =>
+        val dd = Vec.dist(r.center, pts.proj, o * pts.m)
+        if (dd > r.radius) r.radius = dd
+        if (aboveLeaf) parentDists(o) = dd
+        var j = 0
+        while (j < s) {
+          val pd = pivotDists(o * s + j)
+          if (pd < r.hrMin(j)) r.hrMin(j) = pd
+          if (pd > r.hrMax(j)) r.hrMax(j) = pd
+          j += 1
+        }
       }
     }
   }
@@ -330,9 +286,8 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     rec(root)
   }
 
-  /** Leaves, depth first with entries in order. */
-  private def leaves: ArrayBuffer[Leaf] = {
-    val out = new ArrayBuffer[Leaf]()
+  protected def leaves: ArrayBuffer[SlotTree.Leaf] = {
+    val out = new ArrayBuffer[SlotTree.Leaf]()
     def rec(node: Node): Unit = node match {
       case l: Leaf   => out += l
       case in: Inner => in.routes.foreach(r => rec(r.child))
@@ -340,9 +295,6 @@ final class PMTree(val pivots: Array[Array[Double]], val capacity: Int) extends 
     rec(root)
     out
   }
-
-  /** All stored items, leaf by leaf (test support). */
-  def items: ArrayBuffer[IndexedPoint] = leaves.flatMap(_.slots.map(pts.point))
 
   /** Node summaries for the Table-2 cost model (Eq. 7). */
   def nodeSummaries: Seq[PMNodeSummary] = {
@@ -394,7 +346,8 @@ object PMTree {
     * and set the exact radii and the hyper-rings. */
   def build(points: Array[Point], proj: Array[Double], pivots: Array[Array[Double]], capacity: Int): PMTree = {
     val t = new PMTree(pivots, capacity)
-    t.load(points, proj)
+    t.load(points, proj, if (points.isEmpty) 0 else pivots(0).length)
+    t.tighten()
     t
   }
 

@@ -16,14 +16,17 @@ import java.util.Arrays
   */
 trait PartIndex extends Serializable {
 
+  /** The tree over the partition's points. */
+  def tree: SlotTree
+
   /** The partition's points, in slot order. */
-  def points: Slots
+  def points: Slots = tree.points
 
   def size: Int = points.size
 
-  /** The range search `range(q', r)` in the projected space, appended to
-    * `out` in traversal order. */
-  private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit
+  /** The tree's range search `range(q', r)` in the projected space,
+    * appended to `out` in traversal order. */
+  private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit = tree.search(qProj, r, out)
 
   /** Points with projected distance ≤ r from qProj; when there are more than
     * `cap`, the `cap` nearest by projected distance (equal distances in
@@ -60,17 +63,10 @@ trait PartIndex extends Serializable {
 }
 
 /** PM-LSH's partition index (§4.1). */
-final class PMTreePart(val tree: PMTree) extends PartIndex {
-  override def points: Slots = tree.points
-  override private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit =
-    tree.search(qProj, r, out)
-}
+final class PMTreePart(val tree: PMTree) extends PartIndex
 
 /** R-LSH's / SRS's partition index (§3.1, §6.1). */
 final class RTreePart(val tree: RTree) extends PartIndex {
-  override def points: Slots = tree.points
-  override private[core] def search(qProj: Array[Double], r: Double, out: Hits): Unit =
-    tree.search(qProj, r, out)
 
   /** Incremental NN order for SRS: the first `count` slots by ascending
     * projected distance (all of them, if there are fewer), and those

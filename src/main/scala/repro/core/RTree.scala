@@ -20,18 +20,15 @@ case class RNodeSummary(nEntries: Int, lo: Array[Double], hi: Array[Double], isR
   * neighbor (Hjaltason–Samet best-first priority queue), SRS's incSearch,
   * bounded by the number of slots the caller takes.
   * Both count their visited nodes and point-distance computations into the
-  * caller's `Hits`; the boxed `range` adds its counts to `distCount` and
-  * `nodeAccesses`.
+  * caller's `Hits`.
   *
-  * Leaves hold slots of one flat payload (`Slots`). The tree is built once,
-  * by `RTree.build`, on the projections alone; its payload is then filled
-  * once, in leaf order.
+  * The tree is built once, by `RTree.build` (`SlotTree.load`), on the
+  * projections alone.
   */
-final class RTree(val capacity: Int) extends Serializable {
-  require(capacity >= 4, s"capacity must be >= 4, got $capacity")
+final class RTree(capacity: Int) extends SlotTree(capacity) {
   private val minFill = math.max(1, (capacity * 0.4).toInt)
 
-  private final class Node(val isLeaf: Boolean) extends Serializable {
+  private final class Node(val isLeaf: Boolean) extends SlotTree.Leaf with Serializable {
     var slots: Array[Int] = Array.emptyIntArray // leaf payload: slots of `pts`
     val children = new ArrayBuffer[Node](if (isLeaf) 0 else capacity + 1) // inner payload
     var lo: Array[Double] = null
@@ -49,20 +46,7 @@ final class RTree(val capacity: Int) extends Serializable {
       if (lo == null) { lo = l.clone(); hi = h.clone() } else extend(lo, hi, l, h)
   }
 
-  /** The payload; while the tree is built, the projections alone, in input
-    * order. */
-  private var pts: Slots = Slots.of(Array.empty[Point])
   private var root: Node = new Node(true)
-
-  def size: Int = pts.size
-
-  /** The indexed points, in slot order (leaf order). */
-  def points: Slots = pts
-
-  var distCount: Long = 0L
-  var nodeAccesses: Long = 0L
-
-  def resetCounters(): Unit = { distCount = 0L; nodeAccesses = 0L }
 
   private def margin(lo: Array[Double], hi: Array[Double]): Double = {
     var s = 0.0; var i = 0
@@ -91,62 +75,41 @@ final class RTree(val capacity: Int) extends Serializable {
     s
   }
 
-  /** Indexes `points`, projected to `proj` (m per point): inserts every
-    * point in order, on the projections, then fills the payload in leaf
-    * order. */
-  private def load(points: Array[Point], proj: Array[Double], m: Int): Unit = {
-    require(proj.length == points.length * m,
-      s"${points.length} points of $m projected coordinates need ${points.length * m}, got ${proj.length}")
-    pts = new Slots(points.map(_.id), proj, Array.emptyDoubleArray, m, 0)
-    var slot = 0
-    while (slot < points.length) { insert(slot); slot += 1 }
-    val ls = leaves
-    val order = ls.flatMap(_.slots).toArray
-    pts = Slots.of(points, proj, m, order)
-    var next = 0
-    ls.foreach { l => l.slots = Array.range(next, next + l.slots.length); next += l.slots.length }
-  }
-
-  private def insert(slot: Int): Unit = {
-    val splitRoot = insertRec(root, slot, pts.projRow(slot))
-    splitRoot.foreach { case (a, b) =>
-      val nr = new Node(false)
-      nr.children += a
-      nr.children += b
-      nr.recomputeMbr()
-      root = nr
+  protected def insert(slot: Int): Unit = {
+    val pair = insert(root, slot, pts.projRow(slot))
+    if (pair != null) {
+      root = new Node(false)
+      root.children ++= Seq(pair._1, pair._2)
+      root.recomputeMbr()
     }
   }
 
-  /** Recursive insert of `slot`, whose projected point is `p`; returns the
-    * two replacement nodes if `node` split. */
-  private def insertRec(node: Node, slot: Int, p: Array[Double]): Option[(Node, Node)] = {
+  /** Inserts `slot`, whose projected point is `p`, below `node`; returns
+    * the two nodes that replace `node` if it overflowed and split, else
+    * null. */
+  private def insert(node: Node, slot: Int, p: Array[Double]): (Node, Node) = {
     node.extendBy(p, p)
-    if (node.isLeaf) {
-      node.slots = node.slots :+ slot
-      if (node.slots.length > capacity) Some(splitLeaf(node)) else None
-    } else {
-      var best: Node = null
+    if (node.isLeaf) node.slots = node.slots :+ slot
+    else {
+      var best = 0
       var bestEnl = Double.MaxValue
       var bestMargin = Double.MaxValue
-      node.children.foreach { c =>
+      var i = 0
+      while (i < node.children.length) {
+        val c = node.children(i)
         val e = enlargement(c.lo, c.hi, p, p)
         val m = margin(c.lo, c.hi)
-        if (e < bestEnl || (e == bestEnl && m < bestMargin)) { best = c; bestEnl = e; bestMargin = m }
+        if (e < bestEnl || (e == bestEnl && m < bestMargin)) { best = i; bestEnl = e; bestMargin = m }
+        i += 1
       }
-      insertRec(best, slot, p) match {
-        case None => None
-        case Some((a, b)) =>
-          node.children -= best
-          node.children += a
-          node.children += b
-          if (node.children.length > capacity) Some(splitInner(node)) else None
-      }
+      val pair = insert(node.children(best), slot, p)
+      if (pair != null) { node.children.remove(best); node.children ++= Seq(pair._1, pair._2) }
     }
+    if (node.nEntries > capacity) split(node) else null
   }
 
   /** Guttman linear seed pick over entry boxes; returns (seed1, seed2). */
-  private def linearSeeds(los: IndexedSeq[Array[Double]], his: IndexedSeq[Array[Double]]): (Int, Int) = {
+  private def linearSeeds(los: Array[Array[Double]], his: Array[Array[Double]]): (Int, Int) = {
     val m = los.head.length
     val n = los.length
     var bestDim = 0
@@ -176,54 +139,44 @@ final class RTree(val capacity: Int) extends Serializable {
     if (bestA == bestB) (0, 1) else (bestA, bestB)
   }
 
-  /** Distribute entries to two groups by least enlargement with min-fill. */
-  private def distribute[T](
-      entries: IndexedSeq[T],
-      loOf: T => Array[Double],
-      hiOf: T => Array[Double]): (ArrayBuffer[T], ArrayBuffer[T]) = {
-    val los = entries.map(loOf)
-    val his = entries.map(hiOf)
+  /** Splits `node`'s entries into two new nodes: Guttman's linear seeds,
+    * then each other entry, in order, to the group whose box it enlarges
+    * least, with min-fill. A leaf entry is its point as a zero-extent box. */
+  private def split(node: Node): (Node, Node) = {
+    val n = node.nEntries
+    val los = Array.tabulate(n)(i => if (node.isLeaf) pts.projRow(node.slots(i)) else node.children(i).lo)
+    val his = if (node.isLeaf) los else Array.tabulate(n)(node.children(_).hi)
     val (s1, s2) = linearSeeds(los, his)
-    val g1 = new ArrayBuffer[T]()
-    val g2 = new ArrayBuffer[T]()
-    val lo1 = los(s1).clone(); val hi1 = his(s1).clone()
-    val lo2 = los(s2).clone(); val hi2 = his(s2).clone()
-    g1 += entries(s1)
-    g2 += entries(s2)
-    var i = 0
-    val n = entries.length
+    // the two groups' entry indices and boxes
+    val g = Array(ArrayBuffer(s1), ArrayBuffer(s2))
+    val lo = Array(los(s1).clone(), los(s2).clone())
+    val hi = Array(his(s1).clone(), his(s2).clone())
     var remaining = n - 2
+    var i = 0
     while (i < n) {
       if (i != s1 && i != s2) {
         // min-fill: force the rest into a group that cannot otherwise reach it
-        if (g1.length + remaining <= minFill) { g1 += entries(i); extend(lo1, hi1, los(i), his(i)) }
-        else if (g2.length + remaining <= minFill) { g2 += entries(i); extend(lo2, hi2, los(i), his(i)) }
-        else {
-          val e1 = enlargement(lo1, hi1, los(i), his(i))
-          val e2 = enlargement(lo2, hi2, los(i), his(i))
-          val toG1 = e1 < e2 || (e1 == e2 && g1.length <= g2.length)
-          if (toG1) { g1 += entries(i); extend(lo1, hi1, los(i), his(i)) }
-          else { g2 += entries(i); extend(lo2, hi2, los(i), his(i)) }
-        }
+        val to =
+          if (g(0).length + remaining <= minFill) 0
+          else if (g(1).length + remaining <= minFill) 1
+          else {
+            val e1 = enlargement(lo(0), hi(0), los(i), his(i))
+            val e2 = enlargement(lo(1), hi(1), los(i), his(i))
+            if (e1 < e2 || (e1 == e2 && g(0).length <= g(1).length)) 0 else 1
+          }
+        g(to) += i
+        extend(lo(to), hi(to), los(i), his(i))
         remaining -= 1
       }
       i += 1
     }
-    (g1, g2)
-  }
-
-  private def splitLeaf(node: Node): (Node, Node) = {
-    val (g1, g2) = distribute[Int](node.slots.toIndexedSeq, pts.projRow, pts.projRow)
-    val a = new Node(true); a.slots = g1.toArray; a.recomputeMbr()
-    val b = new Node(true); b.slots = g2.toArray; b.recomputeMbr()
-    (a, b)
-  }
-
-  private def splitInner(node: Node): (Node, Node) = {
-    val (g1, g2) = distribute[Node](node.children.toIndexedSeq, _.lo, _.hi)
-    val a = new Node(false); a.children ++= g1; a.recomputeMbr()
-    val b = new Node(false); b.children ++= g2; b.recomputeMbr()
-    (a, b)
+    val halves = g.map { group =>
+      val h = new Node(node.isLeaf)
+      if (node.isLeaf) h.slots = group.map(node.slots(_)).toArray else h.children ++= group.map(node.children(_))
+      h.recomputeMbr()
+      h
+    }
+    (halves(0), halves(1))
   }
 
   /** Squared MINDIST from q to an MBR. */
@@ -236,18 +189,6 @@ final class RTree(val capacity: Int) extends Serializable {
       i += 1
     }
     sum
-  }
-
-  /** All points with ||q, o'|| ≤ r, with projected distances, in traversal
-    * order. The points are read through the slots only when an element is
-    * read.
-    */
-  def range(q: Array[Double], r: Double): IndexedSeq[(IndexedPoint, Double)] = {
-    val hits = new Hits
-    search(q, r, hits)
-    distCount += hits.distCount
-    nodeAccesses += hits.nodeAccesses
-    new SlotRange(pts, hits)
   }
 
   /** `range` into `out`, counting there the visited nodes and one distance
@@ -321,16 +262,12 @@ final class RTree(val capacity: Int) extends Serializable {
     }
   }
 
-  /** Leaves, depth first with entries in order. */
-  private def leaves: ArrayBuffer[Node] = {
-    val out = new ArrayBuffer[Node]()
+  protected def leaves: ArrayBuffer[SlotTree.Leaf] = {
+    val out = new ArrayBuffer[SlotTree.Leaf]()
     def rec(n: Node): Unit = if (n.isLeaf) out += n else n.children.foreach(rec)
     rec(root)
     out
   }
-
-  /** All stored items, leaf by leaf (test support). */
-  def items: ArrayBuffer[IndexedPoint] = leaves.flatMap(_.slots.map(pts.point))
 
   /** Node summaries for the Table-2 cost model (Eq. 9). */
   def nodeSummaries: Seq[RNodeSummary] = {

@@ -83,7 +83,6 @@ object SparkSpec {
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

@@ -101,6 +101,25 @@ class PMTreeSpec extends AnyFunSuite {
     assert(tree.distCount == 0)
   }
 
+  test("range counts node accesses on both trees, as their search does; resetCounters zeroes both counters") {
+    val items = randomItems(300, 4, 5)
+    val pm = PMTree.build(items, PMTree.selectPivots(items.map(_.proj), 3), 6)
+    val rt = RTree.build(items, 6)
+    Seq[(SlotTree, Int)](pm -> pm.nodeSummaries.length, rt -> rt.nodeSummaries.length).foreach { case (tree, nodes) =>
+      val q = Array.fill(4)(5.0)
+      val hits = new Hits
+      tree.search(q, 3.0, hits)
+      tree.range(q, 3.0)
+      assert(tree.nodeAccesses > 0 && tree.distCount > 0)
+      assert((tree.distCount, tree.nodeAccesses) == ((hits.distCount, hits.nodeAccesses)))
+      // a ball around every point visits every node once
+      tree.range(q, 1e6)
+      assert(tree.nodeAccesses == hits.nodeAccesses + nodes)
+      tree.resetCounters()
+      assert(tree.distCount == 0 && tree.nodeAccesses == 0)
+    }
+  }
+
   test("nodeSummaries: one root, entry counts bounded by capacity, sane radii") {
     val items = randomItems(600, 8, 17)
     val tree = PMTree.build(items, PMTree.selectPivots(items.take(100).map(_.proj), 5), 16)

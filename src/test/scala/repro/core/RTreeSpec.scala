@@ -148,4 +148,27 @@ class RTreeSpec extends AnyFunSuite {
     tree.range(items(5).proj, 1.0)
     assert(tree.distCount < 4000, s"distCount=${tree.distCount}")
   }
+
+  test("a seeded build with duplicate points keeps its leaf order, boxes and searches (pinned digest)") {
+    val configs = Seq((900, 15, 16, true), (400, 4, 4, false), (300, 8, 6, true), (2000, 15, 16, false))
+    val words = configs.zipWithIndex.iterator.flatMap { case ((n, m, cap, clustered), ci) =>
+      val base = randomItems(n, m, 611 + ci, clustered)
+      // every fifth point twice in a row, and one point 30 times more
+      val items = base.flatMap { it =>
+        if (it.id % 5 == 0) Seq(it, IndexedPoint(it.id + 100000L, it.proj.clone(), Array.empty)) else Seq(it)
+      } ++ Array.tabulate(30)(i => IndexedPoint(200000L + i, base(1).proj.clone(), Array.empty))
+      val tree = RTree.build(items, cap)
+      val rng = new Random(711 + ci)
+      val searches = (0 until 5).iterator.flatMap { _ =>
+        val hits = new Hits
+        tree.search(Array.fill(m)(rng.nextDouble() * 10), rng.nextDouble() * 4 + 0.5, hits)
+        hits.slots.take(hits.size).map(_.toLong) ++ hits.dists.take(hits.size).map(java.lang.Double.doubleToLongBits) ++
+          Seq(hits.distCount, hits.nodeAccesses)
+      }
+      tree.points.ids.iterator ++ tree.nodeSummaries.iterator.flatMap { s =>
+        Iterator(s.nEntries.toLong, if (s.isRoot) 1L else 0L) ++ (s.lo ++ s.hi).map(java.lang.Double.doubleToLongBits)
+      } ++ searches
+    }
+    assert(Digest.of(words) == "bfee2de8309bfec4171b7ed3")
+  }
 }

@@ -6,19 +6,17 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 
-/** One hash table of a Multi-Probe partition in flat arrays, its buckets in
-  * lexicographic order of their coordinates, no two with the same ones.
-  * Bucket b has the mB coordinates `coords(b·mB until b·mB + mB)` and the
-  * member slots `members(offsets(b) until offsets(b + 1))`, ascending.
+/** One hash table of a Multi-Probe partition in flat arrays: entry e is slot
+  * `slots(e)` in the bucket with the mB coordinates `coords(e·mB until e·mB + mB)`.
+  * Entries are in lexicographic order of their coordinates, equal ones (one
+  * bucket's points) in ascending slot order.
   */
-final class BucketTable(val mB: Int, val coords: Array[Int], val offsets: Array[Int], val members: Array[Int])
-    extends Serializable {
-  def buckets: Int = offsets.length - 1
+final class BucketTable(val mB: Int, val coords: Array[Int], val slots: Array[Int]) extends Serializable {
 
-  /** The first bucket whose leading coordinate is at least c, or `buckets`. */
+  /** The first entry whose leading coordinate is at least c, or `slots.length`. */
   def firstFrom(c: Long): Int = {
     var lo = 0
-    var hi = buckets
+    var hi = slots.length
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (coords(mid * mB) < c) lo = mid + 1 else hi = mid
@@ -32,28 +30,12 @@ object BucketTable {
   /** The table over slots 0 until n, slot j in the bucket with coordinates
     * `coords(j·mB until j·mB + mB)`. */
   def build(coords: Array[Int], n: Int, mB: Int): BucketTable = {
-    def cmp(a: Int, b: Int): Int = {
-      var i = 0
-      while (i < mB && coords(a * mB + i) == coords(b * mB + i)) i += 1
-      if (i == mB) 0 else Integer.compare(coords(a * mB + i), coords(b * mB + i))
-    }
-    // stable, so each bucket's members stay in ascending slot order
-    val order = StableOrder(n, cmp(_, _))
-    val starts = new Array[Int](n + 1)
-    var buckets = 0
-    var i = 0
-    while (i < n) {
-      if (i == 0 || cmp(order(i - 1), order(i)) != 0) { starts(buckets) = i; buckets += 1 }
-      i += 1
-    }
-    starts(buckets) = n
-    val bucketCoords = new Array[Int](buckets * mB)
-    var b = 0
-    while (b < buckets) {
-      System.arraycopy(coords, order(starts(b)) * mB, bucketCoords, b * mB, mB)
-      b += 1
-    }
-    new BucketTable(mB, bucketCoords, Arrays.copyOf(starts, buckets + 1), order)
+    // stable, so equal coordinates stay in ascending slot order
+    val order = StableOrder(n, (a, b) => Arrays.compare(coords, a * mB, a * mB + mB, coords, b * mB, b * mB + mB))
+    val sorted = new Array[Int](n * mB)
+    var e = 0
+    while (e < n) { System.arraycopy(coords, order(e) * mB, sorted, e * mB, mB); e += 1 }
+    new BucketTable(mB, sorted, order)
   }
 }
 
@@ -68,8 +50,8 @@ final class Probes(val home: Array[Int], val codes: Array[Short]) extends Serial
 }
 
 /** One partition of a Multi-Probe index: its points in input order, and
-  * for each of the L hash tables the flat table from compound bucket G(o)
-  * to the member points' slots.
+  * for each of the L hash tables its slots in the order of their compound
+  * buckets G(o).
   */
 final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) extends Serializable {
   def size: Int = points.size
@@ -77,14 +59,14 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
   /** Writes to `buf.found` the slots in the buckets `probes(t)` of every
     * table t, each once, in first-probed order, and returns how many.
     *
-    * Each table's buckets are matched against the probes, not the probes
+    * Each table's entries are matched against the probes, not the probes
     * looked up: the probes' ranks go into `buf.rank` by code, and every
-    * bucket whose leading coordinate lies within one step of home (a range
-    * of the sorted buckets) computes its offset from home, skips if it is
-    * more than one step away in some dimension, and else reads its rank.
-    * The hits are emitted in rank order. Distinct buckets have distinct
-    * offsets, so each probe matches at most one bucket, and the slots come
-    * out as if each probe were looked up in turn. */
+    * entry whose leading coordinate lies within one step of home (a range
+    * of the sorted entries) computes its bucket's offset from home, skips
+    * if it is more than one step away in some dimension, and else reads its
+    * rank. The hits are emitted in rank order, then slot order. Distinct
+    * buckets have distinct offsets, so the slots come out as if each probe's
+    * bucket were looked up in turn and read in slot order. */
   def candidates(probes: Array[Probes], buf: MultiProbePart.Buffers): Int = {
     buf.stamp += 1
     val rank = buf.rank
@@ -98,34 +80,29 @@ final class MultiProbePart(val points: Slots, val tables: Array[BucketTable]) ex
       var p = 0
       while (p < ps.size) { rank(ps.code(p)) = p + 1; p += 1 }
       var hits = 0
-      var b = table.firstFrom(home(0) - 1L)
+      var e = table.firstFrom(home(0) - 1L)
       val end = table.firstFrom(home(0) + 2L)
-      while (b < end) {
+      while (e < end) {
         var code = 0
         var unit = 1
         var i = 0
         while (i < mB && code >= 0) {
           // in Long, so no bucket at the Int range's edge wraps to the other
-          val delta = table.coords(b * mB + i).toLong - home(i)
+          val delta = table.coords(e * mB + i).toLong - home(i)
           code = if (delta < -1 || delta > 1) -1 else code + (delta.toInt + 1) * unit
           unit *= 3
           i += 1
         }
-        if (code >= 0 && rank(code) > 0) { buf.hits(hits) = rank(code).toLong << 32 | b; hits += 1 }
-        b += 1
+        if (code >= 0 && rank(code) > 0) { buf.hits(hits) = rank(code).toLong << 32 | table.slots(e); hits += 1 }
+        e += 1
       }
       p = 0
       while (p < ps.size) { rank(ps.code(p)) = 0; p += 1 }
       Arrays.sort(buf.hits, 0, hits)
       var h = 0
       while (h < hits) {
-        val hb = buf.hits(h).toInt
-        var i = table.offsets(hb)
-        while (i < table.offsets(hb + 1)) {
-          val s = table.members(i)
-          if (buf.mark(s) != buf.stamp) { buf.mark(s) = buf.stamp; buf.found(size) = s; size += 1 }
-          i += 1
-        }
+        val s = buf.hits(h).toInt
+        if (buf.mark(s) != buf.stamp) { buf.mark(s) = buf.stamp; buf.found(size) = s; size += 1 }
         h += 1
       }
       t += 1
@@ -141,7 +118,7 @@ object MultiProbePart {
     * slot s is seen in the current query once `mark(s) == stamp`; `rank`
     * holds each probe code's rank + 1 in the table being matched, 0 for
     * every code between tables; `hits` one table's matches as
-    * (rank << 32 | bucket). */
+    * (rank << 32 | slot). */
   final class Buffers(part: MultiProbePart) {
     val found = new Array[Int](part.size)
     private[baselines] val mark = new Array[Int](part.size)

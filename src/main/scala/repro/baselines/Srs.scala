@@ -1,5 +1,6 @@
 package repro.baselines
 
+import java.util.Arrays
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import scala.annotation.unused
@@ -39,8 +40,10 @@ final class Srs(@unused("callers build every engine from a session; SRS reads on
       val len = math.min(math.ceil(frac * rt.size).toLong + k, rt.size.toLong).toInt
       entry => {
         val (qv, qp) = entry
-        val (slots, pds) = rt.nearest(qp, len)
-        (slots.map(pts.ids), pds, pts.dists(qv, slots, len))
+        val hits = new Hits
+        rt.tree.nearest(qp, len, hits)
+        (Array.tabulate(len)(i => pts.ids(hits.slots(i))), Arrays.copyOf(hits.dists, len),
+          pts.dists(qv, hits.slots, len))
       }
     }
 

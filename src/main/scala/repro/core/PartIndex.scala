@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.Arrays
-
 /** A per-partition index over the projected space. One instance is built
   * inside `mapPartitions` per Spark partition and kept as a live object of
   * an `RDD[PartIndex]` persisted `MEMORY_ONLY`, so a query round reads it
@@ -66,14 +64,4 @@ trait PartIndex extends Serializable {
 final class PMTreePart(val tree: PMTree) extends PartIndex
 
 /** R-LSH's / SRS's partition index (§3.1, §6.1). */
-final class RTreePart(val tree: RTree) extends PartIndex {
-
-  /** Incremental NN order for SRS: the first `count` slots by ascending
-    * projected distance (all of them, if there are fewer), and those
-    * distances. */
-  def nearest(qProj: Array[Double], count: Int): (Array[Int], Array[Double]) = {
-    val hits = new Hits
-    tree.nearest(qProj, count, hits)
-    (Arrays.copyOf(hits.slots, hits.size), Arrays.copyOf(hits.dists, hits.size))
-  }
-}
+final class RTreePart(val tree: RTree) extends PartIndex

@@ -192,12 +192,13 @@ final class RTree(capacity: Int) extends SlotTree(capacity) {
   }
 
   /** `range` into `out`, counting there the visited nodes and one distance
-    * per point of a visited leaf. */
+    * per point of a visited leaf. A point is in when its `Vec.dist` is ≤ r,
+    * as in the brute force (d² ≤ fl(r·r) can drop one at exactly r); a box
+    * when √MINDIST² ≤ r, which rounding keeps below its points' distances. */
   private[core] def search(q: Array[Double], r: Double, out: Hits): Unit = {
     if (size == 0) return
     val proj = pts.proj
     val m = pts.m
-    val r2 = r * r
     val stack = new ArrayBuffer[Node]()
     stack += root
     while (stack.nonEmpty) {
@@ -208,15 +209,15 @@ final class RTree(capacity: Int) extends SlotTree(capacity) {
         out.distCount += slots.length
         var i = 0
         while (i < slots.length) {
-          val d2 = Vec.sqDist(q, proj, slots(i) * m)
-          if (d2 <= r2) out.add(slots(i), math.sqrt(d2))
+          val d = Vec.dist(q, proj, slots(i) * m)
+          if (d <= r) out.add(slots(i), d)
           i += 1
         }
       } else {
         var i = 0
         while (i < node.children.length) {
           val c = node.children(i)
-          if (minSqDist(q, c.lo, c.hi) <= r2) stack += c
+          if (math.sqrt(minSqDist(q, c.lo, c.hi)) <= r) stack += c
           i += 1
         }
       }
@@ -229,7 +230,7 @@ final class RTree(capacity: Int) extends SlotTree(capacity) {
     * distances, counting there the visited nodes and one distance per
     * point of a visited leaf. A node is visited only while fewer than
     * `count` slots are out. */
-  private[core] def nearest(q: Array[Double], count: Int, out: Hits): Unit = {
+  private[repro] def nearest(q: Array[Double], count: Int, out: Hits): Unit = {
     if (size == 0) return
     val proj = pts.proj
     val m = pts.m

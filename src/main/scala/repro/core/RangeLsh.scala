@@ -147,9 +147,11 @@ final class RangeLsh(
   }
 
   /** Algorithm 1 — the (r, c)-BC query. Returns the closest candidate when
-    * the ball-cover conditions fire, otherwise None.
+    * the ball-cover conditions fire, otherwise None. A NaN or negative r is
+    * rejected before any job.
     */
   def ballCover(q: Array[Double], r: Double): Option[Neighbor] = {
+    require(r >= 0, s"ballCover's radius r must be at least 0, got $r")
     val qp = TopK.projectBatch(Array(q), 1)(family.project).head
     val cap = partCap(1)
     // each partition ships its candidate count and its closest candidate

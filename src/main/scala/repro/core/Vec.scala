@@ -15,18 +15,14 @@ object Vec {
     s
   }
 
-  /** Squared Euclidean distance ||a − b||². */
-  def sqDist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
-  }
+  /** Squared Euclidean distance ||a − b||²: the row of `b` at offset 0. */
+  def sqDist(a: Array[Double], b: Array[Double]): Double = sqDist(a, b, 0)
 
   /** Euclidean distance ||a − b||. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
 
-  /** ||a − row||² for the row of `a.length` values starting at `flat(off)`:
-    * the same terms, summed in the same order, as `sqDist(a, row)`. */
+  /** ||a − row||² for the row of `a.length` values starting at `flat(off)`,
+    * its terms summed in index order: the one distance loop of the system. */
   def sqDist(a: Array[Double], flat: Array[Double], off: Int): Double = {
     var s = 0.0; var i = 0
     while (i < a.length) { val d = a(i) - flat(off + i); s += d * d; i += 1 }

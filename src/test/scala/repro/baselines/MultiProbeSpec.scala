@@ -217,14 +217,14 @@ class MultiProbeSpec extends SparkSpec with TimeLimits {
   }
 
   test("equal coordinate vectors form one bucket, members ascending; distinct vectors never share one") {
-    // slots 0..6 in five buckets, listed in lexicographic order of their coordinates
+    // slots 0..6 in five buckets; entries in lexicographic order of their
+    // coordinates, one bucket's slots adjacent and ascending
     val built = BucketTable.build(Array(3, 4, 1, 2, 1, 2, Int.MaxValue, 0, 3, 4, 1, 3, Int.MinValue, 0), 7, 2)
-    assert(built.buckets == 5)
-    assert(built.coords.toSeq == Seq(Int.MinValue, 0, 1, 2, 1, 3, 3, 4, Int.MaxValue, 0))
-    assert(built.offsets.toSeq == Seq(0, 1, 3, 4, 6, 7))
-    assert(built.members.toSeq == Seq(6, 1, 2, 5, 0, 4, 3))
-    assert((0 to 4).map(c => built.firstFrom(c.toLong)) == Seq(1, 1, 3, 3, 4))
-    assert(built.firstFrom(Int.MinValue - 1L) == 0 && built.firstFrom(Int.MaxValue + 1L) == 5)
+    assert(built.slots.toSeq == Seq(6, 1, 2, 5, 0, 4, 3))
+    assert(built.coords.grouped(2).map(_.toSeq).toSeq ==
+      Seq(Seq(Int.MinValue, 0), Seq(1, 2), Seq(1, 2), Seq(1, 3), Seq(3, 4), Seq(3, 4), Seq(Int.MaxValue, 0)))
+    assert((0 to 4).map(c => built.firstFrom(c.toLong)) == Seq(1, 1, 4, 4, 6))
+    assert(built.firstFrom(Int.MinValue - 1L) == 0 && built.firstFrom(Int.MaxValue + 1L) == 7)
   }
 
   test("a probe next to a bucket at the Int range's edge does not wrap to the other edge") {

@@ -139,6 +139,17 @@ class SrsSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("the answers and access counts of 28 queries at k = 10 and 50 (pinned digest)") {
+    val qs = HighDim.queryVecs(cfg, 28)
+    val words = Seq(10, 50).iterator.flatMap { kk =>
+      srs.knn(qs, kk).iterator.flatMap { r =>
+        r.neighbors.iterator.flatMap(nb => Iterator(nb.id, java.lang.Double.doubleToLongBits(nb.dist))) ++
+          Iterator(r.candidates.toLong)
+      }
+    }
+    assert(Digest.of(words) == "ce79033bff16896b1325eded")
+  }
+
   test("empty query batch") {
     assert(srs.knn(Array.empty, k).isEmpty)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -59,6 +60,39 @@ class RTreeSpec extends AnyFunSuite {
         assert(got == want, s"trial $t: got ${got.size}, want ${want.size}")
       }
     }
+  }
+
+  test("a point at exactly distance r is in the ball, as Vec.dist <= r says, though d² > fl(r·r)") {
+    val q = Array(0.0, 0.0, 0.0)
+    val o = Array(1.0, 1.0, 1.0)
+    val r = math.sqrt(3.0)
+    assert(Vec.dist(q, o) == r && r * r < Vec.sqDist(q, o))
+    val tree = RTree.build(Array(IndexedPoint(7L, o, Array.empty), IndexedPoint(8L, Array(5.0, 5.0, 5.0), Array.empty)), 4)
+    assert(tree.range(q, r).map(h => (h._1.id, h._2)).toSeq == Seq((7L, r)))
+  }
+
+  test("range at the radius of one point's own distance equals the brute-force filter, distance bits too (scalacheck)") {
+    val gen = for {
+      m <- Gen.choose(1, 8)
+      n <- Gen.choose(1, 80)
+      // coordinates on a coarse grid, so distances tie and points repeat
+      grid <- Gen.listOfN(n, Gen.listOfN(m, Gen.choose(-6, 6)))
+      scale <- Gen.oneOf(1.0, 0.1, 1.7)
+      cap <- Gen.choose(4, 9)
+      q <- Gen.listOfN(m, Gen.choose(-60, 60))
+      at <- Gen.choose(0, n - 1)
+    } yield (grid.map(_.map(_ * scale).toArray).toArray, cap, q.map(_ / 10.0 * scale).toArray, at)
+    val prop = Prop.forAll(gen) { case (projs, cap, q, at) =>
+      val items = projs.zipWithIndex.map { case (p, i) => IndexedPoint(i.toLong, p, Array.empty) }
+      val tree = RTree.build(items, cap)
+      val r = Vec.dist(q, projs(at))
+      def bits(x: Double) = java.lang.Double.doubleToLongBits(x)
+      val got = tree.range(q, r).map { case (it, d) => (it.id, bits(d)) }
+      val want = items.map(it => (it.id, Vec.dist(q, it.proj))).filter(_._2 <= r).map { case (id, d) => (id, bits(d)) }
+      got.length == want.length && got.toSet == want.toSet
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status)
   }
 
   for ((n, m, cap) <- Seq((100, 4, 4), (400, 15, 16), (800, 8, 8))) {

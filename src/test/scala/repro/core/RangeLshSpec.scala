@@ -202,6 +202,15 @@ class RangeLshSpec extends SparkSpec with TimeLimits {
     }
   }
 
+  test("ballCover rejects a NaN or negative radius, naming it, before any job") {
+    val (pm, q) = (pmEngine, queries(0))
+    Seq(Double.NaN, -1.0).foreach { bad =>
+      val (e, jobs) = tasksPerJob(intercept[IllegalArgumentException](pm.ballCover(q, bad)))
+      assert(e.getMessage.contains(s"radius r must be at least 0, got $bad"), e)
+      assert(jobs.isEmpty, s"r = $bad ran ${jobs.length} jobs")
+    }
+  }
+
   test("knn batches running at once on one engine answer as they do one after the other") {
     // one partition, so the tasks of concurrent jobs read the same index object
     val e = new RangeLsh(spark, points, params.copy(partitions = 1), usePmTree = true)
